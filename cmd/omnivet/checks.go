@@ -4,23 +4,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // finding is one reported violation.
 type finding struct {
 	pos token.Pos
 	msg string
-}
-
-// metricsPkg is the package whose counter fields are guarded by the
-// atomic-use check.
-const metricsPkg = "omniware/internal/serve/metrics"
-
-// atomicMethods are the sound accesses to an atomic counter field.
-var atomicMethods = map[string]bool{
-	"Load": true, "Store": true, "Add": true,
-	"Swap": true, "CompareAndSwap": true,
 }
 
 // stringMatchFuncs are the strings-package predicates that, applied
@@ -30,31 +19,19 @@ var stringMatchFuncs = map[string]bool{
 	"EqualFold": true, "Index": true, "LastIndex": true,
 }
 
-// checkFile runs both checks over one typechecked file. The walk
-// keeps an explicit parent stack so the atomic-use check can see how
-// a counter selector is consumed.
+// checkFile runs the check over one typechecked file.
 func checkFile(f *ast.File, info *types.Info) []finding {
 	var findings []finding
-	var stack []ast.Node
 	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
+		var fd *finding
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if fd := checkErrorStringMatch(n, info); fd != nil {
-				findings = append(findings, *fd)
-			}
+			fd = checkErrorStringMatch(n, info)
 		case *ast.BinaryExpr:
-			if fd := checkErrorStringCompare(n, info); fd != nil {
-				findings = append(findings, *fd)
-			}
-		case *ast.SelectorExpr:
-			if fd := checkCounterUse(n, stack, info); fd != nil {
-				findings = append(findings, *fd)
-			}
+			fd = checkErrorStringCompare(n, info)
+		}
+		if fd != nil {
+			findings = append(findings, *fd)
 		}
 		return true
 	})
@@ -113,101 +90,4 @@ func checkErrorStringCompare(b *ast.BinaryExpr, info *types.Info) *finding {
 		return &finding{pos: b.Pos(), msg: sentinelHint}
 	}
 	return nil
-}
-
-// checkCounterUse flags any use of a metrics counter field that is
-// not an atomic method call. sel must be the current node and stack
-// the path from the file root down to it (inclusive).
-func checkCounterUse(sel *ast.SelectorExpr, stack []ast.Node, info *types.Info) *finding {
-	s, ok := info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return nil
-	}
-	field, ok := s.Obj().(*types.Var)
-	if !ok || field.Pkg() == nil || field.Pkg().Path() != metricsPkg {
-		return nil
-	}
-	ft := field.Type()
-	if arr, ok := ft.Underlying().(*types.Array); ok {
-		ft = arr.Elem()
-	}
-	if !isAtomicCounter(ft) {
-		return nil
-	}
-
-	// Walk up from the selector: an index step is fine (counter
-	// arrays), and the only legal end state is being the receiver of
-	// an atomic method call.
-	use := ast.Node(sel)
-	for i := len(stack) - 2; i >= 0; i-- {
-		parent := stack[i]
-		switch p := parent.(type) {
-		case *ast.IndexExpr:
-			if p.X == use {
-				use = parent
-				continue
-			}
-		case *ast.ParenExpr:
-			use = parent
-			continue
-		case *ast.RangeStmt:
-			// Index-only ranging over a counter array never reads the
-			// counters (constant-length arrays are not even evaluated).
-			if p.X == use && p.Value == nil {
-				return nil
-			}
-		case *ast.CallExpr:
-			// len() of a counter array reads no counter.
-			if id, ok := p.Fun.(*ast.Ident); ok && id.Name == "len" && len(p.Args) == 1 && p.Args[0] == use {
-				if _, builtin := info.Uses[id].(*types.Builtin); builtin {
-					return nil
-				}
-			}
-		case *ast.SelectorExpr:
-			if p.X == use && atomicMethods[p.Sel.Name] {
-				// Must actually be the Fun of a call: m.JobsRun.Load
-				// as a method value still escapes the field.
-				if j := i - 1; j >= 0 {
-					if call, ok := stack[j].(*ast.CallExpr); ok && call.Fun == parent {
-						return nil
-					}
-				}
-			}
-		}
-		break
-	}
-	return &finding{
-		pos: sel.Pos(),
-		msg: "non-atomic use of metrics counter " + fieldName(s) + "; call its atomic methods (Load/Add/...) instead",
-	}
-}
-
-func fieldName(s *types.Selection) string {
-	recv := s.Recv()
-	if p, ok := recv.(*types.Pointer); ok {
-		recv = p.Elem()
-	}
-	name := recv.String()
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return name + "." + s.Obj().Name()
-}
-
-// isAtomicCounter reports whether t is one of the sync/atomic integer
-// types the metrics package counts with.
-func isAtomicCounter(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	switch obj.Name() {
-	case "Uint32", "Uint64", "Int32", "Int64", "Bool", "Pointer", "Value":
-		return true
-	}
-	return false
 }

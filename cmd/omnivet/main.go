@@ -1,20 +1,11 @@
 // omnivet is the repo-local static-analysis pass, run in CI next to
-// go vet. It enforces two project conventions the stock vet cannot
-// know about:
-//
-//  1. No string-matching on error text. The serving and host layers
-//     export typed sentinels (core.ErrBudget, core.ErrInterrupted,
-//     and friends); code that calls strings.Contains/HasPrefix/... on
-//     err.Error(), or compares err.Error() against a literal, is
-//     matching on presentation instead of identity and breaks the
-//     moment a message is reworded. Use errors.Is.
-//
-//  2. No non-atomic uses of metrics counter fields. The counters in
-//     internal/serve/metrics (Metrics, TargetCounters) are lock-free
-//     atomics updated from every worker; the only sound accesses are
-//     the atomic method calls (Load, Add, Store, Swap, CAS). Taking a
-//     counter's address, copying it, or ranging over a counter array
-//     detaches the value from the atomic API and is flagged.
+// go vet. It enforces one project convention the stock vet cannot
+// know about: no string-matching on error text. The serving and host
+// layers export typed sentinels (core.ErrBudget, core.ErrInterrupted,
+// and friends); code that calls strings.Contains/HasPrefix/... on
+// err.Error(), or compares err.Error() against a literal, is matching
+// on presentation instead of identity and breaks the moment a message
+// is reworded. Use errors.Is.
 //
 // Test files are exempt: _test.go code legitimately asserts on
 // rendered error bodies (HTTP 422 text has no sentinel to compare
@@ -49,7 +40,7 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(runIn("", os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // listPkg is the subset of `go list -json` output the driver needs.
@@ -65,12 +56,8 @@ type listPkg struct {
 	Error      *struct{ Err string }
 }
 
-// run is main minus the process exit, so tests can drive it against
+// runIn is main minus the process exit, so tests can drive it against
 // another module directory (dir == "" means the current one).
-func run(args []string, stdout, stderr io.Writer) int {
-	return runIn("", args, stdout, stderr)
-}
-
 func runIn(dir string, args []string, stdout, stderr io.Writer) int {
 	patterns := args
 	if len(patterns) == 0 {
@@ -171,9 +158,8 @@ func analyze(fset *token.FileSet, p *listPkg, exports map[string]string) ([]find
 		Error:    func(error) {}, // collect what we can; hard errors surface below
 	}
 	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 	if _, err := conf.Check(p.ImportPath, fset, files, info); err != nil {
 		return nil, fmt.Errorf("typecheck: %v", err)

@@ -5,8 +5,6 @@ package bad
 import (
 	"errors"
 	"strings"
-
-	"omniware/internal/serve/metrics"
 )
 
 var errBudget = errors.New("budget exhausted")
@@ -24,16 +22,4 @@ func MatchByText(err error) bool {
 		return true
 	}
 	return strings.Contains("haystack", "needle")
-}
-
-// CounterMisuse has the non-atomic counter uses.
-func CounterMisuse(m *metrics.Metrics) uint64 {
-	v := m.JobsRun // want: non-atomic (copies the counter)
-	load := m.Counts[1].Load
-	for _, c := range m.Counts { // want: non-atomic (copies the array)
-		_ = c
-	}
-	// Legal: atomic method calls.
-	m.JobsRun.Add(1)
-	return v.Load() + load()
 }

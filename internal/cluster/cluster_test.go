@@ -5,9 +5,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"omniware/internal/audit"
 	"omniware/internal/cc"
 	"omniware/internal/cluster"
 	"omniware/internal/core"
@@ -574,5 +576,32 @@ func TestClientFailover(t *testing.T) {
 	}
 	if d := cl.Failovers() - before; d > 1 {
 		t.Errorf("404 consumed %d failovers, want at most the dead owner's", d)
+	}
+}
+
+// The metrics package names two closed label sets it cannot import:
+// the audit-gate reasons (it keeps a copy) and the per-peer quarantine
+// reasons (filled in here, from the cache's list). Its counters drop a
+// reason they do not know, so drift would lose counts in silence —
+// pin both sets to their sources.
+func TestClosedLabelSetsMirrored(t *testing.T) {
+	if got := metrics.AuditReasons[:]; !slices.Equal(got, audit.GateReasons) {
+		t.Errorf("metrics.AuditReasons = %v, audit.GateReasons = %v", got, audit.GateReasons)
+	}
+
+	l := bootCluster(t, 2, mcache.VerifyCheck)
+	snap := l.Nodes[0].Server.Snapshot()
+	if snap.Cluster == nil || len(snap.Cluster.Peers) != 1 {
+		t.Fatalf("cluster section: %+v", snap.Cluster)
+	}
+	var keys []string
+	for k := range snap.Cluster.Peers[0].QuarantinesByReason {
+		keys = append(keys, k)
+	}
+	want := slices.Clone(mcache.QuarantineReasons)
+	slices.Sort(keys)
+	slices.Sort(want)
+	if !slices.Equal(keys, want) {
+		t.Errorf("per-peer reason keys %v, mcache.QuarantineReasons %v", keys, want)
 	}
 }

@@ -8,6 +8,7 @@ package link
 
 import (
 	"fmt"
+	"sort"
 
 	"omniware/internal/ovm"
 )
@@ -210,7 +211,16 @@ func Link(objs []*ovm.Object, opts Options) (*ovm.Module, error) {
 		}
 		return s
 	}
-	for name, loc := range globals {
+	// Globals go out in name order, not map order: the symbol table is
+	// part of the module's wire encoding, and one set of objects must
+	// link to one content hash.
+	names := make([]string, 0, len(globals))
+	for name := range globals {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		loc := globals[name]
 		syms = append(syms, rebase(loc.obj, loc.sym))
 		exported[name] = true
 	}

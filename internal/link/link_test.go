@@ -7,6 +7,7 @@ import (
 
 	"omniware/internal/asm"
 	"omniware/internal/ovm"
+	"omniware/internal/wire"
 )
 
 func obj(t *testing.T, name, src string) *ovm.Object {
@@ -235,5 +236,31 @@ _start:
 	}
 	if _, err := Link([]*ovm.Object{obj(t, "e.s", src)}, Options{Entry: "nothere"}); err == nil {
 		t.Error("bad explicit entry accepted")
+	}
+}
+
+// The symbol table is part of a module's wire encoding, so linking is
+// deterministic down to the content hash: the same objects, linked
+// twenty times, are one module.
+func TestLinkDeterministic(t *testing.T) {
+	var src strings.Builder
+	src.WriteString(".text\n.globl main\nmain:\n\thalt\n")
+	for _, name := range []string{"zeta", "alpha", "mid", "beta", "omega", "gamma", "delta", "kappa"} {
+		src.WriteString(".globl " + name + "\n" + name + ":\n\tret\n")
+	}
+	a := obj(t, "a.s", src.String())
+	b := obj(t, "b.s", ".data\n.globl shared\nshared:\n\t.word 1\n.globl other\nother:\n\t.word 2\n")
+	want := ""
+	for i := 0; i < 20; i++ {
+		m, err := Link([]*ovm.Object{a, b}, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := wire.HashModule(m)
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Fatalf("link %d hashed to %s, the first to %s", i, got, want)
+		}
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"omniware/internal/serve/metrics"
 	"omniware/internal/trace"
@@ -27,19 +26,16 @@ import (
 
 // Schema identifies the report layout. Bump it when a field changes
 // meaning; consumers (CI validation, the omnictl formatter) refuse
-// versions they do not know. v3 added the admission-audit section
-// (gate mode in the config, pass/warn/reject interval counters in
-// the server delta).
-const Schema = "omniload/v3"
-
-// SchemaV2 and SchemaV1 are the previous layouts — strict subsets of
-// v3 — still accepted by Validate so checked-in BENCH artifacts from
-// earlier runs keep validating. v2 added the cluster peer-health
-// section (per-peer quarantine attribution with reasons, fleet
-// failover counts) to ServerDelta.
+// versions they do not know. v2 added the cluster peer-health section
+// (per-peer quarantine attribution with reasons, fleet failover
+// counts) to ServerDelta; v3 the admission-audit section (gate mode in
+// the config, pass/warn/reject interval counters in the server delta).
+// Each version is a strict superset of the one before, so Validate
+// accepts every version from v1 up to this one and the checked-in
+// BENCH artifacts of earlier runs keep validating.
 const (
-	SchemaV2 = "omniload/v2"
-	SchemaV1 = "omniload/v1"
+	schemaPrefix = "omniload/v"
+	Schema       = schemaPrefix + "3"
 )
 
 // Report is one load run, serialized as BENCH_<n>.json.
@@ -78,13 +74,12 @@ type LatencyStats struct {
 }
 
 func latStats(s trace.HistSnapshot) LatencyStats {
-	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 	return LatencyStats{
 		Count:  s.Count,
-		P50Us:  us(s.P50()),
-		P95Us:  us(s.P95()),
-		P99Us:  us(s.P99()),
-		MeanUs: us(s.Mean()),
+		P50Us:  metrics.Us(s.P50()),
+		P95Us:  metrics.Us(s.P95()),
+		P99Us:  metrics.Us(s.P99()),
+		MeanUs: metrics.Us(s.Mean()),
 	}
 }
 
@@ -116,13 +111,7 @@ type LoadStats struct {
 
 // StageDelta is the interval view of one server pipeline stage:
 // quantiles over only the observations between the two snapshots.
-type StageDelta struct {
-	Count  uint64  `json:"count"`
-	P50Us  float64 `json:"p50_us"`
-	P95Us  float64 `json:"p95_us"`
-	P99Us  float64 `json:"p99_us"`
-	MeanUs float64 `json:"mean_us"`
-}
+type StageDelta = LatencyStats
 
 // ServerDelta is the server-side view of the run: /v1/metrics sampled
 // before and after, counters subtracted, stage histograms subtracted
@@ -194,111 +183,77 @@ type AllocStat struct {
 }
 
 // Delta computes the server-side interval between two metric
-// snapshots taken around a load run. Counters are monotonic, so plain
-// subtraction is the interval; histogram quantiles come from
-// bucket-wise subtraction (trace.HistSnapshot.Sub).
+// snapshots taken around a load run: after.Sub(before), projected onto
+// the report's layout. Reason splits keep only the reasons that moved,
+// and stages only those observed during the interval.
 func Delta(before, after metrics.Snapshot) ServerDelta {
-	sub := func(a, b uint64) uint64 {
-		if a > b {
-			return a - b
-		}
-		return 0
-	}
+	iv := after.Sub(before)
 	d := ServerDelta{
-		JobsSubmitted:   sub(after.JobsSubmitted, before.JobsSubmitted),
-		JobsRun:         sub(after.JobsRun, before.JobsRun),
-		JobsFailed:      sub(after.JobsFailed, before.JobsFailed),
-		FaultsContained: sub(after.FaultsContained, before.FaultsContained),
-		Timeouts:        sub(after.Timeouts, before.Timeouts),
-		Translations:    sub(after.Translations, before.Translations),
-		SimInsts:        sub(after.SimInsts, before.SimInsts),
-		SimCycles:       sub(after.SimCycles, before.SimCycles),
-		CacheHits:       sub(after.CacheHits, before.CacheHits),
-		CacheCoalesced:  sub(after.CacheCoalesced, before.CacheCoalesced),
-		CacheMisses:     sub(after.CacheMisses, before.CacheMisses),
-		CacheDiskHits:   sub(after.CacheDiskHits, before.CacheDiskHits),
+		JobsSubmitted:   iv.JobsSubmitted,
+		JobsRun:         iv.JobsRun,
+		JobsFailed:      iv.JobsFailed,
+		FaultsContained: iv.FaultsContained,
+		Timeouts:        iv.Timeouts,
+		Translations:    iv.Translations,
+		SimInsts:        iv.SimInsts,
+		SimCycles:       iv.SimCycles,
+		CacheHits:       iv.CacheHits,
+		CacheCoalesced:  iv.CacheCoalesced,
+		CacheMisses:     iv.CacheMisses,
+		CacheDiskHits:   iv.CacheDiskHits,
+		HitRate:         iv.HitRate(),
 		Stages:          map[string]StageDelta{},
 
-		CachePeerHits:        sub(after.CachePeerHits, before.CachePeerHits),
-		CachePeerQuarantines: sub(after.CachePeerQuarantines, before.CachePeerQuarantines),
+		CachePeerHits:        iv.CachePeerHits,
+		CachePeerQuarantines: iv.CachePeerQuarantines,
 
-		AuditPass: sub(after.AuditPass, before.AuditPass),
+		AuditPass:    iv.AuditPass,
+		AuditWarns:   moved(iv.AuditWarns),
+		AuditRejects: moved(iv.AuditRejects),
 	}
-	for reason, v := range after.AuditWarns {
-		if dv := sub(v, before.AuditWarns[reason]); dv > 0 {
-			if d.AuditWarns == nil {
-				d.AuditWarns = map[string]uint64{}
-			}
-			d.AuditWarns[reason] = dv
-		}
-	}
-	for reason, v := range after.AuditRejects {
-		if dv := sub(v, before.AuditRejects[reason]); dv > 0 {
-			if d.AuditRejects == nil {
-				d.AuditRejects = map[string]uint64{}
-			}
-			d.AuditRejects[reason] = dv
-		}
-	}
-	warm := d.CacheHits + d.CacheCoalesced + d.CacheDiskHits + d.CachePeerHits
-	if total := warm + d.CacheMisses; total > 0 {
-		d.HitRate = float64(warm) / float64(total)
-	}
-	prevTargets := map[string]metrics.TargetSnapshot{}
-	for _, ts := range before.Targets {
-		prevTargets[ts.Target] = ts
-	}
-	for _, ts := range after.Targets {
-		p := prevTargets[ts.Target]
-		d.AppInsts += sub(ts.AppInsts, p.AppInsts)
-		d.SandboxInsts += sub(ts.Sandbox, p.Sandbox)
-		d.SchedInsts += sub(ts.Sched, p.Sched)
+	for _, ts := range iv.Targets {
+		d.AppInsts += ts.AppInsts
+		d.SandboxInsts += ts.Sandbox
+		d.SchedInsts += ts.Sched
 	}
 	if total := d.AppInsts + d.SandboxInsts + d.SchedInsts; total > 0 {
 		d.SandboxPct = 100 * float64(d.SandboxInsts) / float64(total)
 	}
-	for name, st := range after.Stages {
-		h := st.Hist.Sub(before.Stages[name].Hist)
-		if h.Count == 0 {
-			continue
-		}
-		ls := latStats(h)
-		d.Stages[name] = StageDelta{
-			Count: ls.Count, P50Us: ls.P50Us, P95Us: ls.P95Us, P99Us: ls.P99Us, MeanUs: ls.MeanUs,
+	for name, st := range iv.Stages {
+		if st.Count > 0 {
+			d.Stages[name] = latStats(st.Hist)
 		}
 	}
-	if after.Cluster != nil {
-		var beforeC metrics.ClusterSnapshot
-		if before.Cluster != nil {
-			beforeC = *before.Cluster
-		}
-		d.ClusterFailovers = sub(after.Cluster.Failovers, beforeC.Failovers)
-		prevPeers := map[string]metrics.PeerStats{}
-		for _, p := range beforeC.Peers {
-			prevPeers[p.Peer] = p
-		}
-		for _, p := range after.Cluster.Peers {
-			q := prevPeers[p.Peer]
-			pd := PeerDelta{
-				Peer:        p.Peer,
-				Hits:        sub(p.Hits, q.Hits),
-				Quarantines: sub(p.Quarantines, q.Quarantines),
-				Errors:      sub(p.Errors, q.Errors),
-				Pushes:      sub(p.Pushes, q.Pushes),
-			}
-			for reason, v := range p.QuarantinesByReason {
-				if dv := sub(v, q.QuarantinesByReason[reason]); dv > 0 {
-					if pd.QuarantinesByReason == nil {
-						pd.QuarantinesByReason = map[string]uint64{}
-					}
-					pd.QuarantinesByReason[reason] = dv
-				}
-			}
-			d.PeerHealth = append(d.PeerHealth, pd)
+	if iv.Cluster != nil {
+		d.ClusterFailovers = iv.Cluster.Failovers
+		for _, p := range iv.Cluster.Peers {
+			d.PeerHealth = append(d.PeerHealth, PeerDelta{
+				Peer:                p.Peer,
+				Hits:                p.Hits,
+				Quarantines:         p.Quarantines,
+				QuarantinesByReason: moved(p.QuarantinesByReason),
+				Errors:              p.Errors,
+				Pushes:              p.Pushes,
+			})
 		}
 		sort.Slice(d.PeerHealth, func(i, j int) bool { return d.PeerHealth[i].Peer < d.PeerHealth[j].Peer })
 	}
 	return d
+}
+
+// moved keeps the nonzero entries of an interval's reason split, or
+// nil when nothing moved (the JSON field is then omitted).
+func moved(m map[string]uint64) map[string]uint64 {
+	var out map[string]uint64
+	for reason, v := range m {
+		if v > 0 {
+			if out == nil {
+				out = map[string]uint64{}
+			}
+			out[reason] = v
+		}
+	}
+	return out
 }
 
 // Validate checks a report's internal consistency — the CI gate runs
@@ -310,8 +265,8 @@ func Delta(before, after metrics.Snapshot) ServerDelta {
 func Validate(r *Report) error {
 	var errs []string
 	bad := func(format string, args ...any) { errs = append(errs, fmt.Sprintf(format, args...)) }
-	if r.Schema != Schema && r.Schema != SchemaV2 && r.Schema != SchemaV1 {
-		bad("schema %q, want %q (or legacy %q, %q)", r.Schema, Schema, SchemaV2, SchemaV1)
+	if v, ok := strings.CutPrefix(r.Schema, schemaPrefix); !ok || len(v) != 1 || v < "1" || v > Schema[len(schemaPrefix):] {
+		bad("schema %q, want %q (or an earlier version of it)", r.Schema, Schema)
 	}
 	if r.Load.Jobs == 0 {
 		bad("no jobs recorded")
@@ -392,7 +347,7 @@ func Format(r *Report) string {
 		for _, p := range r.Server.PeerHealth {
 			line := fmt.Sprintf("  peer         %s hits=%d quarantines=%d errors=%d pushes=%d",
 				p.Peer, p.Hits, p.Quarantines, p.Errors, p.Pushes)
-			for _, reason := range sortedKeys(p.QuarantinesByReason) {
+			for _, reason := range metrics.SortedKeys(p.QuarantinesByReason) {
 				line += fmt.Sprintf(" %s=%d", reason, p.QuarantinesByReason[reason])
 			}
 			b.WriteString(line + "\n")
@@ -408,10 +363,10 @@ func Format(r *Report) string {
 		r.Server.AppInsts+r.Server.SandboxInsts+r.Server.SchedInsts)
 	if r.Config.Audit != "" {
 		line := fmt.Sprintf("  audit        mode=%s pass=%d", r.Config.Audit, r.Server.AuditPass)
-		for _, reason := range sortedKeys(r.Server.AuditWarns) {
+		for _, reason := range metrics.SortedKeys(r.Server.AuditWarns) {
 			line += fmt.Sprintf(" warn_%s=%d", reason, r.Server.AuditWarns[reason])
 		}
-		for _, reason := range sortedKeys(r.Server.AuditRejects) {
+		for _, reason := range metrics.SortedKeys(r.Server.AuditRejects) {
 			line += fmt.Sprintf(" reject_%s=%d", reason, r.Server.AuditRejects[reason])
 		}
 		b.WriteString(line + "\n")
@@ -424,38 +379,13 @@ func Format(r *Report) string {
 	return b.String()
 }
 
-func sortedKeys(m map[string]uint64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // FormatServer renders just the server-side interval — shared by the
 // full report formatter and omnictl bench (which has only the delta).
 func FormatServer(d ServerDelta) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  server       run=%d failed=%d contained=%d timeouts=%d translations=%d\n",
 		d.JobsRun, d.JobsFailed, d.FaultsContained, d.Timeouts, d.Translations)
-	var ordered []string
-	seen := map[string]bool{}
-	for _, n := range metrics.StageNames {
-		if _, ok := d.Stages[n]; ok {
-			ordered = append(ordered, n)
-			seen[n] = true
-		}
-	}
-	var extra []string
-	for n := range d.Stages {
-		if !seen[n] {
-			extra = append(extra, n)
-		}
-	}
-	sort.Strings(extra)
-	ordered = append(ordered, extra...)
-	for _, n := range ordered {
+	for _, n := range metrics.StageOrder(d.Stages) {
 		st := d.Stages[n]
 		fmt.Fprintf(&b, "  stage %-12s count=%d p50=%.0fus p95=%.0fus p99=%.0fus\n",
 			n, st.Count, st.P50Us, st.P95Us, st.P99Us)

@@ -214,3 +214,31 @@ func TestAuditConfigValidation(t *testing.T) {
 		t.Fatal("unknown audit mode accepted")
 	}
 }
+
+// The cache's audit counters reach /v1/metrics in both renderings.
+func TestAuditCountersReachMetrics(t *testing.T) {
+	cl, _, _ := startServer(t, serve.Config{Workers: 1}, netserve.Config{
+		Audit: netserve.AuditConfig{Mode: netserve.AuditWarn},
+	})
+	blob := buildBlob(t, chainSrc)
+	for i := 0; i < 2; i++ {
+		if _, err := cl.Upload(blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := cl.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.CacheAudits != 1 || snap.CacheAuditHits < 1 {
+		t.Errorf("one module uploaded twice: cache_audits = %d (want 1), cache_audit_hits = %d (want >= 1)",
+			snap.CacheAudits, snap.CacheAuditHits)
+	}
+	prom, err := cl.MetricsProm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(prom, "\nomni_cache_audits_total 1\n") {
+		t.Errorf("exposition lacks omni_cache_audits_total 1:\n%s", prom)
+	}
+}

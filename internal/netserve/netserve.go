@@ -59,6 +59,7 @@ import (
 	"omniware/internal/mcache"
 	"omniware/internal/ovm"
 	"omniware/internal/serve"
+	"omniware/internal/serve/metrics"
 	"omniware/internal/target"
 	"omniware/internal/trace"
 	"omniware/internal/translate"
@@ -293,7 +294,7 @@ func (h *Handler) handleUpload(w http.ResponseWriter, r *http.Request) {
 	decodeStart := time.Now()
 	mod, blob, hash, err := decodeCanonical(body)
 	decodeDur := time.Since(decodeStart)
-	h.srv.Metrics().Decode.Observe(decodeDur)
+	h.srv.Metrics().Observe(metrics.StageDecode, decodeDur)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

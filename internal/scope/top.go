@@ -49,44 +49,27 @@ func RenderTop(cur, prev *Fleet, dt time.Duration) string {
 		b.WriteString("no answering nodes\n")
 		return b.String()
 	}
-	var pf *metrics.Snapshot
-	if prev != nil {
-		pf = prev.Fleet
-	}
-
-	ran, failed, subs := f.JobsRun, f.JobsFailed, f.JobsSubmitted
-	failovers := uint64(0)
-	if f.Cluster != nil {
-		failovers = f.Cluster.Failovers
-	}
-	if pf != nil {
-		ran = sub64(f.JobsRun, pf.JobsRun)
-		failed = sub64(f.JobsFailed, pf.JobsFailed)
-		subs = sub64(f.JobsSubmitted, pf.JobsSubmitted)
-		if f.Cluster != nil && pf.Cluster != nil {
-			failovers = sub64(f.Cluster.Failovers, pf.Cluster.Failovers)
+	// iv is what the frame counts: the interval since the previous
+	// frame when there is one, the lifetime totals otherwise.
+	iv := *f
+	rate := ""
+	if prev != nil && prev.Fleet != nil {
+		iv = f.Sub(*prev.Fleet)
+		if dt > 0 {
+			rate = fmt.Sprintf("  jobs/s=%.1f", float64(iv.JobsRun+iv.JobsFailed)/dt.Seconds())
 		}
 	}
-	rate := ""
-	if pf != nil && dt > 0 {
-		rate = fmt.Sprintf("  jobs/s=%.1f", float64(ran+failed)/dt.Seconds())
+	failovers := uint64(0)
+	if iv.Cluster != nil {
+		failovers = iv.Cluster.Failovers
 	}
 	fmt.Fprintf(&b, "jobs submitted=%d run=%d failed=%d%s  queue=%d  failovers=%d  cache_hit_rate=%.2f\n",
-		subs, ran, failed, rate, f.QueueDepth, failovers, f.HitRate())
+		iv.JobsSubmitted, iv.JobsRun, iv.JobsFailed, rate, f.QueueDepth, failovers, f.HitRate())
 
 	// Stage latency table, interval quantiles when a window exists.
 	fmt.Fprintf(&b, "\n%-12s %8s %10s %10s %10s\n", "stage", "count", "p50", "p95", "p99")
 	for _, name := range metrics.StageNames {
-		st, ok := f.Stages[name]
-		if !ok {
-			continue
-		}
-		h := st.Hist
-		if pf != nil {
-			if pst, ok := pf.Stages[name]; ok {
-				h = h.Sub(pst.Hist)
-			}
-		}
+		h := iv.Stages[name].Hist
 		if h.Count == 0 {
 			continue
 		}
@@ -126,13 +109,6 @@ func RenderTop(cur, prev *Fleet, dt time.Duration) string {
 		}
 	}
 	return b.String()
-}
-
-func sub64(a, b uint64) uint64 {
-	if a > b {
-		return a - b
-	}
-	return 0
 }
 
 func roundDur(d time.Duration) string {

@@ -98,8 +98,8 @@ func fixtureSnapshot(n uint64) Snapshot {
 			{
 				Target: "x86", Jobs: 27, Insts: 300, AppInsts: 290, SandboxPct: 100 * float64(10) / 300,
 				Sandbox: 10,
-				Counts: map[string]uint64{"base": 290, "sfi": 10},
-				Run:    fixtureStage(time.Second),
+				Counts:  map[string]uint64{"base": 290, "sfi": 10},
+				Run:     fixtureStage(time.Second),
 			},
 		},
 		Cluster: &ClusterSnapshot{

@@ -8,6 +8,7 @@ package metrics
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -17,39 +18,13 @@ import (
 	"omniware/internal/trace"
 )
 
-// StageNames lists the pipeline stages with latency histograms, in
-// reporting order: wire decode (uploads), static audit (admission-time
-// analysis, recorded by the upload path), queue wait (admission to
-// dequeue), the translate stage (cache lookup through admission), the
-// cluster peer probe within it (when a peer source is wired), SFI
-// verification alone, and job run time (dequeue to completion, queue
-// excluded).
-var StageNames = []string{"decode", "audit", "queue_wait", "translate", "peer_fetch", "verify", "run"}
-
-// AuditReasons is the closed set of audit-gate failure reasons
-// (mirrors audit.GateReasons without the import). Outcome counters are
-// pre-registered at zero for every reason in both the JSON snapshot
-// and the Prometheus rendering, matching the quarantine-reason
-// convention, so scrapers see the full label set from the first
-// scrape.
-var AuditReasons = []string{"stack", "cost", "capability", "recursion"}
-
-// TargetCounters is the per-machine section: job and instruction
+// targetCounters is the per-machine section: job and instruction
 // counters by expansion category (the live form of the paper's
 // overhead tables) plus a run-latency histogram.
-type TargetCounters struct {
-	Jobs   atomic.Uint64
-	Counts [target.NumCats]atomic.Uint64
-	Run    trace.Histogram
-}
-
-// AddRun charges one finished run to the target's counters.
-func (tc *TargetCounters) AddRun(res target.Result, d time.Duration) {
-	tc.Jobs.Add(1)
-	for i, n := range res.Counts {
-		tc.Counts[i].Add(n)
-	}
-	tc.Run.Observe(d)
+type targetCounters struct {
+	jobs   atomic.Uint64
+	counts [target.NumCats]atomic.Uint64
+	run    trace.Histogram
 }
 
 // Metrics is the live counter set one Server owns. The zero value is
@@ -57,61 +32,54 @@ func (tc *TargetCounters) AddRun(res target.Result, d time.Duration) {
 // internal/mcache.Stats); the server merges them into the Snapshot it
 // reports.
 type Metrics struct {
-	JobsSubmitted   atomic.Uint64 // jobs accepted into the queue
-	JobsRun         atomic.Uint64 // jobs that finished cleanly (module exited)
-	JobsFailed      atomic.Uint64 // jobs that failed (fault, budget, timeout, bad input)
-	FaultsContained atomic.Uint64 // failed jobs whose fault the server absorbed
-	Timeouts        atomic.Uint64 // failed jobs killed by the per-job deadline
-	Translations    atomic.Uint64 // translations performed on behalf of jobs
-	SimInsts        atomic.Uint64 // native instructions simulated across jobs
-	SimCycles       atomic.Uint64 // simulated pipeline cycles across jobs
-	QueueDepth      atomic.Int64  // jobs submitted but not yet finished
+	// live holds the scalars the serving layer counts, in the Snapshot
+	// fields the table's rows point at, touched only through sync/atomic.
+	// It comes first and Snapshot leads with its 64-bit scalars (a test
+	// checks), which gives 32-bit platforms the alignment atomics need.
+	live Snapshot
 
-	// Stage latency histograms (see StageNames).
-	Decode    trace.Histogram // wire decode, recorded by the upload path
-	Audit     trace.Histogram // static audit, recorded by the upload path
-	QueueWait trace.Histogram // submit to dequeue
-	Translate trace.Histogram // the translate stage (cache call), per job
-	PeerFetch trace.Histogram // cluster peer probe within the translate stage
-	Verify    trace.Histogram // SFI verification, when the stage ran one
-	Run       trace.Histogram // dequeue to completion (queue wait excluded)
-
-	// Audit-gate outcomes: passes, and warn/reject splits indexed by
-	// AuditReasons position.
-	AuditPass    atomic.Uint64
-	auditWarns   [4]atomic.Uint64
-	auditRejects [4]atomic.Uint64
-
-	targets [4]TargetCounters // indexed by target.Arch
+	stages   [len(StageNames)]trace.Histogram
+	outcomes [len(auditOutcomes)][len(AuditReasons)]atomic.Uint64
+	targets  [4]targetCounters // indexed by target.Arch
 }
+
+// Add moves one scalar the serving layer counts: a single atomic add.
+func (m *Metrics) Add(sc *Scalar, n int64) {
+	if sc.counter != nil {
+		atomic.AddUint64(sc.counter(&m.live), uint64(n))
+	} else {
+		atomic.AddInt64(sc.gauge(&m.live), n)
+	}
+}
+
+// Observe records one latency sample for a pipeline stage.
+func (m *Metrics) Observe(st Stage, d time.Duration) { m.stages[st].Observe(d) }
 
 // AuditWarn counts one warn-mode audit violation for reason (an
 // AuditReasons member; anything else is dropped rather than growing
 // the closed label set).
-func (m *Metrics) AuditWarn(reason string) {
-	if i := auditReasonIndex(reason); i >= 0 {
-		m.auditWarns[i].Add(1)
-	}
-}
+func (m *Metrics) AuditWarn(reason string) { m.auditOutcome(auditWarns, reason) }
 
 // AuditReject counts one enforce-mode audit rejection for reason.
-func (m *Metrics) AuditReject(reason string) {
-	if i := auditReasonIndex(reason); i >= 0 {
-		m.auditRejects[i].Add(1)
-	}
-}
+func (m *Metrics) AuditReject(reason string) { m.auditOutcome(auditRejects, reason) }
 
-func auditReasonIndex(reason string) int {
+func (m *Metrics) auditOutcome(family int, reason string) {
 	for i, r := range AuditReasons {
 		if r == reason {
-			return i
+			m.outcomes[family][i].Add(1)
 		}
 	}
-	return -1
 }
 
-// Target returns the per-machine counter section for arch.
-func (m *Metrics) Target(a target.Arch) *TargetCounters { return &m.targets[a] }
+// AddRun charges one finished run to its target machine's counters.
+func (m *Metrics) AddRun(a target.Arch, res target.Result, d time.Duration) {
+	tc := &m.targets[a]
+	tc.jobs.Add(1)
+	for i, n := range res.Counts {
+		tc.counts[i].Add(n)
+	}
+	tc.run.Observe(d)
+}
 
 // StageSnapshot summarizes one stage's latency distribution.
 type StageSnapshot struct {
@@ -128,16 +96,14 @@ type StageSnapshot struct {
 	Hist trace.HistSnapshot `json:"hist"`
 }
 
-func stageSnap(h *trace.Histogram) StageSnapshot {
-	s := h.Snapshot()
-	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-	return StageSnapshot{
-		Count: s.Count,
-		P50Us: us(s.P50()),
-		P95Us: us(s.P95()),
-		P99Us: us(s.P99()),
-		Hist:  s,
-	}
+// Us is d in microseconds, the unit every latency summary reports.
+func Us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
+
+// stageOf summarizes a histogram: the quantiles always come from the
+// buckets given, so a merged or subtracted histogram is re-quantiled,
+// never averaged.
+func stageOf(h trace.HistSnapshot) StageSnapshot {
+	return StageSnapshot{Count: h.Count, P50Us: Us(h.P50()), P95Us: Us(h.P95()), P99Us: Us(h.P99()), Hist: h}
 }
 
 // TargetSnapshot is the per-machine overhead-attribution report: the
@@ -172,7 +138,7 @@ type Snapshot struct {
 	CacheMisses    uint64 `json:"cache_misses"`
 	CacheEvictions uint64 `json:"cache_evictions"`
 	CacheRejected  uint64 `json:"cache_rejected"`
-	CacheEntries   int    `json:"cache_entries"`
+	CacheEntries   int64  `json:"cache_entries"`
 	CacheBytes     int64  `json:"cache_bytes"`
 
 	CacheDiskHits        uint64 `json:"cache_disk_hits"`
@@ -240,48 +206,38 @@ type ClusterSnapshot struct {
 
 // Snapshot copies the live counters (without the cache section).
 func (m *Metrics) Snapshot() Snapshot {
-	s := Snapshot{
-		JobsSubmitted:   m.JobsSubmitted.Load(),
-		JobsRun:         m.JobsRun.Load(),
-		JobsFailed:      m.JobsFailed.Load(),
-		FaultsContained: m.FaultsContained.Load(),
-		Timeouts:        m.Timeouts.Load(),
-		Translations:    m.Translations.Load(),
-		SimInsts:        m.SimInsts.Load(),
-		SimCycles:       m.SimCycles.Load(),
-		QueueDepth:      m.QueueDepth.Load(),
-		AuditPass:       m.AuditPass.Load(),
-		AuditWarns:      map[string]uint64{},
-		AuditRejects:    map[string]uint64{},
-		Stages: map[string]StageSnapshot{
-			"decode":     stageSnap(&m.Decode),
-			"audit":      stageSnap(&m.Audit),
-			"queue_wait": stageSnap(&m.QueueWait),
-			"translate":  stageSnap(&m.Translate),
-			"peer_fetch": stageSnap(&m.PeerFetch),
-			"verify":     stageSnap(&m.Verify),
-			"run":        stageSnap(&m.Run),
-		},
+	s := Snapshot{Stages: make(map[string]StageSnapshot, len(StageNames))}
+	for _, sc := range scalars {
+		if sc.counter != nil {
+			*sc.counter(&s) = atomic.LoadUint64(sc.counter(&m.live))
+		} else {
+			*sc.gauge(&s) = atomic.LoadInt64(sc.gauge(&m.live))
+		}
 	}
-	for i, r := range AuditReasons {
-		s.AuditWarns[r] = m.auditWarns[i].Load()
-		s.AuditRejects[r] = m.auditRejects[i].Load()
+	for f, fam := range auditOutcomes {
+		byReason := map[string]uint64{}
+		for i, r := range AuditReasons {
+			byReason[r] = m.outcomes[f][i].Load()
+		}
+		*fam.field(&s) = byReason
+	}
+	for st, name := range StageNames {
+		s.Stages[name] = stageOf(m.stages[st].Snapshot())
 	}
 	for a := range m.targets {
 		tc := &m.targets[a]
 		ts := TargetSnapshot{
 			Target: target.Arch(a).String(),
-			Jobs:   tc.Jobs.Load(),
+			Jobs:   tc.jobs.Load(),
 			Counts: map[string]uint64{},
-			Run:    stageSnap(&tc.Run),
+			Run:    stageOf(tc.run.Snapshot()),
 		}
-		var attr target.Attribution
-		var counts [target.NumCats]uint64
-		for c := range tc.Counts {
-			counts[c] = tc.Counts[c].Load()
-			ts.Counts[target.ExpCat(c).String()] = counts[c]
+		var res target.Result
+		for c := range tc.counts {
+			res.Counts[c] = tc.counts[c].Load()
+			ts.Counts[target.ExpCat(c).String()] = res.Counts[c]
 		}
-		attr = target.Result{Counts: counts}.Attribution()
+		attr := res.Attribution()
 		ts.Insts = attr.Total()
 		ts.AppInsts = attr.App
 		ts.Sandbox = attr.Sandbox
@@ -300,44 +256,23 @@ func (m *Metrics) Snapshot() Snapshot {
 // merge per peer address. The inputs are not mutated.
 func MergeSnapshots(a, b Snapshot) Snapshot {
 	out := a
-	out.JobsSubmitted += b.JobsSubmitted
-	out.JobsRun += b.JobsRun
-	out.JobsFailed += b.JobsFailed
-	out.FaultsContained += b.FaultsContained
-	out.Timeouts += b.Timeouts
-	out.Translations += b.Translations
-	out.SimInsts += b.SimInsts
-	out.SimCycles += b.SimCycles
-	out.QueueDepth += b.QueueDepth
-	out.CacheHits += b.CacheHits
-	out.CacheCoalesced += b.CacheCoalesced
-	out.CacheMisses += b.CacheMisses
-	out.CacheEvictions += b.CacheEvictions
-	out.CacheRejected += b.CacheRejected
-	out.CacheEntries += b.CacheEntries
-	out.CacheBytes += b.CacheBytes
-	out.CacheDiskHits += b.CacheDiskHits
-	out.CacheDiskWrites += b.CacheDiskWrites
-	out.CacheDiskQuarantines += b.CacheDiskQuarantines
-	out.CacheDisagreements += b.CacheDisagreements
-	out.CachePeerHits += b.CachePeerHits
-	out.CachePeerQuarantines += b.CachePeerQuarantines
-	out.CacheSpotChecks += b.CacheSpotChecks
-	out.CacheSpotCheckFails += b.CacheSpotCheckFails
-	out.CacheAudits += b.CacheAudits
-	out.CacheAuditHits += b.CacheAuditHits
-	out.CacheAuditDiskWrites += b.CacheAuditDiskWrites
-	out.CacheAuditQuarantines += b.CacheAuditQuarantines
-	out.AuditPass += b.AuditPass
-	out.AuditWarns = mergeReasons(a.AuditWarns, b.AuditWarns)
-	out.AuditRejects = mergeReasons(a.AuditRejects, b.AuditRejects)
+	for _, sc := range scalars {
+		if sc.counter != nil {
+			*sc.counter(&out) += *sc.counter(&b)
+		} else {
+			*sc.gauge(&out) += *sc.gauge(&b)
+		}
+	}
+	for _, fam := range auditOutcomes {
+		*fam.field(&out) = plus.labels(*fam.field(&a), *fam.field(&b))
+	}
 
 	out.Stages = map[string]StageSnapshot{}
 	for n, st := range a.Stages {
 		out.Stages[n] = st
 	}
 	for n, st := range b.Stages {
-		out.Stages[n] = mergeStage(out.Stages[n], st)
+		out.Stages[n] = stageOf(plus.h(out.Stages[n].Hist, st.Hist))
 	}
 
 	out.Targets = nil
@@ -347,27 +282,11 @@ func MergeSnapshots(a, b Snapshot) Snapshot {
 			i, ok := byName[ts.Target]
 			if !ok {
 				byName[ts.Target] = len(out.Targets)
-				cp := ts
-				cp.Counts = map[string]uint64{}
-				for k, v := range ts.Counts {
-					cp.Counts[k] = v
-				}
-				out.Targets = append(out.Targets, cp)
+				ts.Counts = plus.labels(map[string]uint64{}, ts.Counts)
+				out.Targets = append(out.Targets, ts)
 				continue
 			}
-			t := &out.Targets[i]
-			t.Jobs += ts.Jobs
-			t.Insts += ts.Insts
-			t.AppInsts += ts.AppInsts
-			t.Sandbox += ts.Sandbox
-			t.Sched += ts.Sched
-			for k, v := range ts.Counts {
-				t.Counts[k] += v
-			}
-			t.Run = mergeStage(t.Run, ts.Run)
-			if t.Insts > 0 {
-				t.SandboxPct = 100 * float64(t.Sandbox) / float64(t.Insts)
-			}
+			plus.target(&out.Targets[i], ts)
 		}
 	}
 	sort.Slice(out.Targets, func(i, j int) bool { return out.Targets[i].Target < out.Targets[j].Target })
@@ -376,35 +295,127 @@ func MergeSnapshots(a, b Snapshot) Snapshot {
 	return out
 }
 
-// mergeReasons sums two reason-split maps key-wise, preserving the
+// Sub is the interval between two snapshots of one daemon (or one
+// fleet): s minus the earlier prev. Counters subtract, clamping at
+// zero; gauges keep their current level; stage and per-target
+// histograms subtract bucket-wise (HistSnapshot.Sub) and are
+// re-quantiled, so the quantiles describe the interval alone; targets
+// and peers pair up by name, one that prev lacks counting from zero.
+// Every interval consumer — omniload's server delta, omnictl bench,
+// the omnictl top dashboard — goes through here.
+func (s Snapshot) Sub(prev Snapshot) Snapshot {
+	out := s
+	for _, sc := range scalars {
+		if sc.counter != nil {
+			*sc.counter(&out) = minus.n(*sc.counter(&s), *sc.counter(&prev))
+		}
+	}
+	for _, fam := range auditOutcomes {
+		*fam.field(&out) = minus.labels(*fam.field(&s), *fam.field(&prev))
+	}
+
+	out.Stages = map[string]StageSnapshot{}
+	for n, st := range s.Stages {
+		out.Stages[n] = stageOf(minus.h(st.Hist, prev.Stages[n].Hist))
+	}
+
+	prevTargets := map[string]TargetSnapshot{}
+	for _, ts := range prev.Targets {
+		prevTargets[ts.Target] = ts
+	}
+	out.Targets = nil
+	for _, ts := range s.Targets {
+		minus.target(&ts, prevTargets[ts.Target])
+		out.Targets = append(out.Targets, ts)
+	}
+
+	if s.Cluster != nil {
+		c := *s.Cluster
+		prevPeers := map[string]PeerStats{}
+		if prev.Cluster != nil {
+			c.Failovers = minus.n(c.Failovers, prev.Cluster.Failovers)
+			for _, p := range prev.Cluster.Peers {
+				prevPeers[p.Peer] = p
+			}
+		}
+		c.Peers = nil
+		for _, p := range s.Cluster.Peers {
+			minus.peer(&p, prevPeers[p.Peer])
+			c.Peers = append(c.Peers, p)
+		}
+		out.Cluster = &c
+	}
+	return out
+}
+
+// arith is the arithmetic a snapshot-wide fold applies to every
+// counter and histogram it meets: plus for the fleet merge, minus for
+// the interval between two snapshots of one daemon.
+type arith struct{ sub bool }
+
+var plus, minus = arith{}, arith{sub: true}
+
+// n combines two counter values. Counters only grow, so a negative
+// difference means the snapshots straddle a restart (or are swapped);
+// it clamps to zero.
+func (ar arith) n(a, b uint64) uint64 {
+	switch {
+	case !ar.sub:
+		return a + b
+	case a > b:
+		return a - b
+	}
+	return 0
+}
+
+// h combines two histograms bucket-wise.
+func (ar arith) h(a, b trace.HistSnapshot) trace.HistSnapshot {
+	if ar.sub {
+		return a.Sub(b)
+	}
+	return a.Add(b)
+}
+
+// labels combines two label-split counter maps key-wise, keeping the
 // pre-registered zero keys; nil in, nil out (hand-built snapshots).
-func mergeReasons(a, b map[string]uint64) map[string]uint64 {
+func (ar arith) labels(a, b map[string]uint64) map[string]uint64 {
 	if a == nil && b == nil {
 		return nil
 	}
 	out := map[string]uint64{}
 	for k, v := range a {
-		out[k] += v
+		out[k] = ar.n(v, b[k])
 	}
 	for k, v := range b {
-		out[k] += v
+		if _, ok := a[k]; !ok {
+			out[k] = ar.n(0, v)
+		}
 	}
 	return out
 }
 
-// mergeStage merges two stage summaries: counts sum, histograms add
-// bucket-wise, and the quantiles are recomputed from the merged
-// buckets.
-func mergeStage(a, b StageSnapshot) StageSnapshot {
-	h := a.Hist.Add(b.Hist)
-	us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-	return StageSnapshot{
-		Count: a.Count + b.Count,
-		P50Us: us(h.P50()),
-		P95Us: us(h.P95()),
-		P99Us: us(h.P99()),
-		Hist:  h,
+// target folds o into t: counters and category counts combine, the
+// run histogram combines bucket-wise, and the sandbox percentage is
+// recomputed from the result.
+func (ar arith) target(t *TargetSnapshot, o TargetSnapshot) {
+	t.Jobs = ar.n(t.Jobs, o.Jobs)
+	t.Insts = ar.n(t.Insts, o.Insts)
+	t.AppInsts = ar.n(t.AppInsts, o.AppInsts)
+	t.Sandbox = ar.n(t.Sandbox, o.Sandbox)
+	t.Sched = ar.n(t.Sched, o.Sched)
+	t.Counts = ar.labels(t.Counts, o.Counts)
+	t.Run = stageOf(ar.h(t.Run.Hist, o.Run.Hist))
+	if t.Insts > 0 {
+		t.SandboxPct = 100 * float64(t.Sandbox) / float64(t.Insts)
 	}
+}
+
+// peer folds o into p, leaving the staleness gauge alone.
+func (ar arith) peer(p *PeerStats, o PeerStats) {
+	for _, pc := range peerCounters {
+		*pc.field(p) = ar.n(*pc.field(p), *pc.field(&o))
+	}
+	p.QuarantinesByReason = ar.labels(p.QuarantinesByReason, o.QuarantinesByReason)
 }
 
 // mergeCluster merges two cluster sections per peer address: counters
@@ -433,22 +444,12 @@ func mergeCluster(a, b *ClusterSnapshot) *ClusterSnapshot {
 			i, ok := byPeer[p.Peer]
 			if !ok {
 				byPeer[p.Peer] = len(out.Peers)
-				cp := p
-				cp.QuarantinesByReason = map[string]uint64{}
-				for k, v := range p.QuarantinesByReason {
-					cp.QuarantinesByReason[k] = v
-				}
-				out.Peers = append(out.Peers, cp)
+				p.QuarantinesByReason = plus.labels(map[string]uint64{}, p.QuarantinesByReason)
+				out.Peers = append(out.Peers, p)
 				continue
 			}
 			q := &out.Peers[i]
-			q.Hits += p.Hits
-			q.Quarantines += p.Quarantines
-			q.Errors += p.Errors
-			q.Pushes += p.Pushes
-			for k, v := range p.QuarantinesByReason {
-				q.QuarantinesByReason[k] += v
-			}
+			plus.peer(q, p)
 			if q.StalenessMs < 0 || (p.StalenessMs >= 0 && p.StalenessMs < q.StalenessMs) {
 				q.StalenessMs = p.StalenessMs
 			}
@@ -480,41 +481,23 @@ func (s Snapshot) HitRate() float64 {
 func (s Snapshot) Text() string {
 	var b strings.Builder
 	w := func(name string, v any) { fmt.Fprintf(&b, "%-18s %v\n", name, v) }
-	w("jobs_submitted", s.JobsSubmitted)
-	w("jobs_run", s.JobsRun)
-	w("jobs_failed", s.JobsFailed)
-	w("faults_contained", s.FaultsContained)
-	w("timeouts", s.Timeouts)
-	w("translations", s.Translations)
-	w("sim_insts", s.SimInsts)
-	w("sim_cycles", s.SimCycles)
-	w("queue_depth", s.QueueDepth)
-	w("cache_hits", s.CacheHits)
-	w("cache_coalesced", s.CacheCoalesced)
-	w("cache_misses", s.CacheMisses)
-	w("cache_evictions", s.CacheEvictions)
-	w("cache_rejected", s.CacheRejected)
-	w("cache_entries", s.CacheEntries)
-	w("cache_bytes", s.CacheBytes)
-	w("cache_disk_hits", s.CacheDiskHits)
-	w("cache_disk_writes", s.CacheDiskWrites)
-	w("cache_disk_quarantines", s.CacheDiskQuarantines)
-	w("cache_disagreements", s.CacheDisagreements)
-	w("cache_audits", s.CacheAudits)
-	w("cache_audit_hits", s.CacheAuditHits)
-	w("cache_audit_quarantines", s.CacheAuditQuarantines)
-	w("audit_pass", s.AuditPass)
-	for _, r := range AuditReasons {
-		w("audit_warn_"+r, s.AuditWarns[r])
+	scalarLines := func(rows []*Scalar) {
+		for _, sc := range rows {
+			if sc.counter != nil {
+				w(sc.name, *sc.counter(&s))
+			} else {
+				w(sc.name, *sc.gauge(&s))
+			}
+		}
 	}
-	for _, r := range AuditReasons {
-		w("audit_reject_"+r, s.AuditRejects[r])
+	scalarLines(scalars[:peerFillFrom])
+	for _, fam := range auditOutcomes {
+		for _, r := range AuditReasons {
+			w(fam.text+r, (*fam.field(&s))[r])
+		}
 	}
 	if s.Cluster != nil || s.CachePeerHits+s.CachePeerQuarantines+s.CacheSpotChecks > 0 {
-		w("cache_peer_hits", s.CachePeerHits)
-		w("cache_peer_quarantines", s.CachePeerQuarantines)
-		w("cache_spot_checks", s.CacheSpotChecks)
-		w("cache_spot_check_fails", s.CacheSpotCheckFails)
+		scalarLines(scalars[peerFillFrom:])
 	}
 	w("cache_hit_rate", fmt.Sprintf("%.2f", s.HitRate()))
 	if s.Cluster != nil {
@@ -522,11 +505,14 @@ func (s Snapshot) Text() string {
 		w("cluster_members", len(s.Cluster.Members))
 		w("cluster_failovers", s.Cluster.Failovers)
 		for _, p := range s.Cluster.Peers {
-			fmt.Fprintf(&b, "cluster_peer %-14s hits=%d quarantines=%d errors=%d pushes=%d staleness_ms=%d\n",
-				p.Peer, p.Hits, p.Quarantines, p.Errors, p.Pushes, p.StalenessMs)
+			fmt.Fprintf(&b, "cluster_peer %-14s", p.Peer)
+			for _, pc := range peerCounters {
+				fmt.Fprintf(&b, " %s=%d", pc.name, *pc.field(&p))
+			}
+			fmt.Fprintf(&b, " staleness_ms=%d\n", p.StalenessMs)
 		}
 	}
-	for _, name := range stageOrder(s.Stages) {
+	for _, name := range StageOrder(s.Stages) {
 		st := s.Stages[name]
 		fmt.Fprintf(&b, "stage_%-12s count=%d p50=%.0fus p95=%.0fus p99=%.0fus\n",
 			name, st.Count, st.P50Us, st.P95Us, st.P99Us)
@@ -541,21 +527,19 @@ func (s Snapshot) Text() string {
 	return b.String()
 }
 
-// stageOrder returns StageNames restricted to the stages present in
+// StageOrder returns StageNames restricted to the stages present in
 // the map (hand-built snapshots in tests may carry a subset), in the
 // canonical order, followed by any extras sorted by name.
-func stageOrder(stages map[string]StageSnapshot) []string {
+func StageOrder[V any](stages map[string]V) []string {
 	var out []string
-	seen := map[string]bool{}
 	for _, n := range StageNames {
 		if _, ok := stages[n]; ok {
 			out = append(out, n)
-			seen[n] = true
 		}
 	}
 	var extra []string
 	for n := range stages {
-		if !seen[n] {
+		if !slices.Contains(out, n) {
 			extra = append(extra, n)
 		}
 	}

@@ -17,86 +17,54 @@ import (
 // "text/plain; version=0.0.4".
 func (s Snapshot) Prom() string {
 	var b strings.Builder
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(&b, "# HELP omni_%s %s\n# TYPE omni_%s counter\nomni_%s %d\n", name, help, name, name, v)
+	family := func(name, help, typ string) {
+		fmt.Fprintf(&b, "# HELP omni_%s %s\n# TYPE omni_%s %s\n", name, help, name, typ)
 	}
-	gauge := func(name, help string, v string) {
-		fmt.Fprintf(&b, "# HELP omni_%s %s\n# TYPE omni_%s gauge\nomni_%s %s\n", name, help, name, name, v)
+	scalarFamilies := func(rows []*Scalar) {
+		for _, sc := range rows {
+			if sc.counter != nil {
+				family(sc.prom, sc.help, "counter")
+				fmt.Fprintf(&b, "omni_%s %d\n", sc.prom, *sc.counter(&s))
+			} else {
+				family(sc.prom, sc.help, "gauge")
+				fmt.Fprintf(&b, "omni_%s %d\n", sc.prom, *sc.gauge(&s))
+			}
+		}
 	}
 
-	counter("jobs_submitted_total", "Jobs accepted into the queue.", s.JobsSubmitted)
-	counter("jobs_run_total", "Jobs that finished cleanly.", s.JobsRun)
-	counter("jobs_failed_total", "Jobs that failed (fault, budget, timeout, bad input).", s.JobsFailed)
-	counter("faults_contained_total", "Failed jobs whose fault the server absorbed.", s.FaultsContained)
-	counter("timeouts_total", "Jobs killed by the per-job deadline.", s.Timeouts)
-	counter("translations_total", "Load-time translations performed for jobs.", s.Translations)
-	counter("sim_insts_total", "Native instructions simulated across jobs.", s.SimInsts)
-	counter("sim_cycles_total", "Simulated pipeline cycles across jobs.", s.SimCycles)
-	gauge("queue_depth", "Jobs submitted but not yet finished.", strconv.FormatInt(s.QueueDepth, 10))
-
-	counter("cache_hits_total", "Translation cache memory hits.", s.CacheHits)
-	counter("cache_coalesced_total", "Lookups that waited on an in-flight translation.", s.CacheCoalesced)
-	counter("cache_misses_total", "Lookups that translated.", s.CacheMisses)
-	counter("cache_evictions_total", "LRU evictions.", s.CacheEvictions)
-	counter("cache_rejected_total", "Programs the SFI verifier refused to admit.", s.CacheRejected)
-	gauge("cache_entries", "Live cache entries.", strconv.Itoa(s.CacheEntries))
-	gauge("cache_bytes", "Code bytes held by the cache.", strconv.FormatInt(s.CacheBytes, 10))
-	counter("cache_disk_hits_total", "Disk-tier hits (re-verified on read).", s.CacheDiskHits)
-	counter("cache_disk_writes_total", "Disk-tier write-throughs.", s.CacheDiskWrites)
-	counter("cache_disk_quarantines_total", "Disk entries quarantined after failing re-verification.", s.CacheDiskQuarantines)
-	counter("cache_disagreements_total", "Dual-gate admissions where the two SFI verifiers split the verdict.", s.CacheDisagreements)
-
-	// Audit pipeline and gate outcomes. The reason label set is closed
-	// (AuditReasons) and every series is pre-registered at zero.
-	counter("cache_audits_total", "Audit pipeline runs (memoization misses).", s.CacheAudits)
-	counter("cache_audit_hits_total", "Audit reports served memoized.", s.CacheAuditHits)
-	counter("cache_audit_disk_writes_total", "Audit reports written through to the persistent tier.", s.CacheAuditDiskWrites)
-	counter("cache_audit_quarantines_total", "Stored audits that disagreed with re-derivation and were set aside.", s.CacheAuditQuarantines)
-	counter("audit_pass_total", "Uploads the audit gate admitted without violation.", s.AuditPass)
-	fmt.Fprintf(&b, "# HELP omni_audit_warns_total Warn-mode audit violations by reason.\n# TYPE omni_audit_warns_total counter\n")
-	for _, r := range AuditReasons {
-		fmt.Fprintf(&b, "omni_audit_warns_total{reason=%q} %d\n", r, s.AuditWarns[r])
-	}
-	fmt.Fprintf(&b, "# HELP omni_audit_rejects_total Enforce-mode audit rejections by reason.\n# TYPE omni_audit_rejects_total counter\n")
-	for _, r := range AuditReasons {
-		fmt.Fprintf(&b, "omni_audit_rejects_total{reason=%q} %d\n", r, s.AuditRejects[r])
+	// The scalar table, with the audit outcome families after the audit
+	// counters: their reason label set is closed (AuditReasons) and
+	// every series is pre-registered at zero.
+	scalarFamilies(scalars[:peerFillFrom])
+	for _, fam := range auditOutcomes {
+		family(fam.name+"_total", fam.help, "counter")
+		for _, r := range AuditReasons {
+			fmt.Fprintf(&b, "omni_%s_total{reason=%q} %d\n", fam.name, r, (*fam.field(&s))[r])
+		}
 	}
 
 	// Cluster peer-fill counters: totals always (they are part of the
 	// cache contract), per-peer series only when running clustered.
-	counter("cache_peer_hits_total", "Translations admitted from cluster peers (re-verified on arrival).", s.CachePeerHits)
-	counter("cache_peer_quarantines_total", "Peer candidates refused by the admission gate or spot check.", s.CachePeerQuarantines)
-	counter("cache_spot_checks_total", "Peer admissions sampled for retranslation equality.", s.CacheSpotChecks)
-	counter("cache_spot_check_fails_total", "Spot checks where the peer program was not the local translation.", s.CacheSpotCheckFails)
+	scalarFamilies(scalars[peerFillFrom:])
 	if c := s.Cluster; c != nil {
-		counter("cluster_failovers_total", "Exec requests re-routed after a member failure.", c.Failovers)
-		fmt.Fprintf(&b, "# HELP omni_cluster_peer_hits_total Peer-fill admissions by supplying peer.\n# TYPE omni_cluster_peer_hits_total counter\n")
-		for _, p := range c.Peers {
-			fmt.Fprintf(&b, "omni_cluster_peer_hits_total{peer=%q} %d\n", p.Peer, p.Hits)
-		}
-		// Quarantines carry the reason label when the split is known
-		// (every reason pre-registered at zero); a snapshot without the
-		// split falls back to the reason-blind per-peer series.
-		fmt.Fprintf(&b, "# HELP omni_cluster_peer_quarantines_total Peer candidates quarantined by supplying peer and reason.\n# TYPE omni_cluster_peer_quarantines_total counter\n")
-		for _, p := range c.Peers {
-			if len(p.QuarantinesByReason) == 0 {
-				fmt.Fprintf(&b, "omni_cluster_peer_quarantines_total{peer=%q} %d\n", p.Peer, p.Quarantines)
-				continue
-			}
-			for _, reason := range catOrder(p.QuarantinesByReason) {
-				fmt.Fprintf(&b, "omni_cluster_peer_quarantines_total{peer=%q,reason=%q} %d\n",
-					p.Peer, reason, p.QuarantinesByReason[reason])
+		family("cluster_failovers_total", "Exec requests re-routed after a member failure.", "counter")
+		fmt.Fprintf(&b, "omni_cluster_failovers_total %d\n", c.Failovers)
+		for _, pc := range peerCounters {
+			family("cluster_peer_"+pc.name+"_total", pc.help, "counter")
+			for _, p := range c.Peers {
+				// A split carries the reason label (every reason
+				// pre-registered at zero); a snapshot without it falls
+				// back to the reason-blind series.
+				if pc.split == nil || len(pc.split(&p)) == 0 {
+					fmt.Fprintf(&b, "omni_cluster_peer_%s_total{peer=%q} %d\n", pc.name, p.Peer, *pc.field(&p))
+					continue
+				}
+				for _, reason := range SortedKeys(pc.split(&p)) {
+					fmt.Fprintf(&b, "omni_cluster_peer_%s_total{peer=%q,reason=%q} %d\n", pc.name, p.Peer, reason, pc.split(&p)[reason])
+				}
 			}
 		}
-		fmt.Fprintf(&b, "# HELP omni_cluster_peer_errors_total Transport or protocol failures probing a peer.\n# TYPE omni_cluster_peer_errors_total counter\n")
-		for _, p := range c.Peers {
-			fmt.Fprintf(&b, "omni_cluster_peer_errors_total{peer=%q} %d\n", p.Peer, p.Errors)
-		}
-		fmt.Fprintf(&b, "# HELP omni_cluster_peer_pushes_total Hot-entry replications sent to a peer.\n# TYPE omni_cluster_peer_pushes_total counter\n")
-		for _, p := range c.Peers {
-			fmt.Fprintf(&b, "omni_cluster_peer_pushes_total{peer=%q} %d\n", p.Peer, p.Pushes)
-		}
-		fmt.Fprintf(&b, "# HELP omni_cluster_peer_staleness_ms Milliseconds since a peer last answered; -1 means never.\n# TYPE omni_cluster_peer_staleness_ms gauge\n")
+		family("cluster_peer_staleness_ms", "Milliseconds since a peer last answered; -1 means never.", "gauge")
 		for _, p := range c.Peers {
 			fmt.Fprintf(&b, "omni_cluster_peer_staleness_ms{peer=%q} %d\n", p.Peer, p.StalenessMs)
 		}
@@ -104,25 +72,25 @@ func (s Snapshot) Prom() string {
 
 	// Stage latency histograms share one metric family with a stage
 	// label, cumulative buckets in seconds.
-	fmt.Fprintf(&b, "# HELP omni_stage_latency_seconds Pipeline stage latency.\n# TYPE omni_stage_latency_seconds histogram\n")
-	for _, name := range stageOrder(s.Stages) {
+	family("stage_latency_seconds", "Pipeline stage latency.", "histogram")
+	for _, name := range StageOrder(s.Stages) {
 		writePromHist(&b, "omni_stage_latency_seconds", `stage="`+name+`"`, s.Stages[name].Hist)
 	}
 
 	// Per-target dynamic instruction attribution: the live overhead
 	// tables, one counter per (target, category) plus the derived
 	// sandbox-overhead percentage.
-	fmt.Fprintf(&b, "# HELP omni_target_jobs_total Jobs run per target machine.\n# TYPE omni_target_jobs_total counter\n")
+	family("target_jobs_total", "Jobs run per target machine.", "counter")
 	for _, ts := range s.Targets {
 		fmt.Fprintf(&b, "omni_target_jobs_total{target=%q} %d\n", ts.Target, ts.Jobs)
 	}
-	fmt.Fprintf(&b, "# HELP omni_target_insts_total Dynamic instructions per target by expansion category.\n# TYPE omni_target_insts_total counter\n")
+	family("target_insts_total", "Dynamic instructions per target by expansion category.", "counter")
 	for _, ts := range s.Targets {
-		for _, cat := range catOrder(ts.Counts) {
+		for _, cat := range SortedKeys(ts.Counts) {
 			fmt.Fprintf(&b, "omni_target_insts_total{target=%q,cat=%q} %d\n", ts.Target, cat, ts.Counts[cat])
 		}
 	}
-	fmt.Fprintf(&b, "# HELP omni_target_sandbox_pct Percentage of dynamic instructions spent on SFI checks.\n# TYPE omni_target_sandbox_pct gauge\n")
+	family("target_sandbox_pct", "Percentage of dynamic instructions spent on SFI checks.", "gauge")
 	for _, ts := range s.Targets {
 		fmt.Fprintf(&b, "omni_target_sandbox_pct{target=%q} %s\n", ts.Target, promFloat(ts.SandboxPct))
 	}
@@ -149,8 +117,9 @@ func promFloat(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
-// catOrder returns the category names sorted for stable output.
-func catOrder(counts map[string]uint64) []string {
+// SortedKeys returns the labels of a label-split counter in sorted
+// order, for stable output.
+func SortedKeys(counts map[string]uint64) []string {
 	out := make([]string, 0, len(counts))
 	for k := range counts {
 		out = append(out, k)

@@ -30,9 +30,9 @@ func promLines(t *testing.T, text string) map[string]string {
 
 func TestPromCountersAndGauges(t *testing.T) {
 	var m Metrics
-	m.JobsSubmitted.Add(9)
-	m.JobsRun.Add(7)
-	m.QueueDepth.Add(2)
+	m.Add(JobsSubmitted, 9)
+	m.Add(JobsRun, 7)
+	m.Add(QueueDepth, 2)
 	s := m.Snapshot()
 	s.CacheDiskWrites = 4
 
@@ -64,9 +64,9 @@ func TestPromCountersAndGauges(t *testing.T) {
 // and report _sum in seconds.
 func TestPromHistogramCumulative(t *testing.T) {
 	var m Metrics
-	m.Run.Observe(500 * time.Nanosecond) // bucket 0 (1µs)
-	m.Run.Observe(3 * time.Microsecond)  // bucket 2 (4µs)
-	m.Run.Observe(3 * time.Microsecond)
+	m.Observe(StageRun, 500*time.Nanosecond) // bucket 0 (1µs)
+	m.Observe(StageRun, 3*time.Microsecond)  // bucket 2 (4µs)
+	m.Observe(StageRun, 3*time.Microsecond)
 	s := m.Snapshot()
 	series := promLines(t, s.Prom())
 
@@ -110,7 +110,7 @@ func TestPromHistogramCumulative(t *testing.T) {
 
 func TestPromTargetAttribution(t *testing.T) {
 	var m Metrics
-	m.Target(target.PPC).AddRun(target.Result{
+	m.AddRun(target.PPC, target.Result{
 		Insts: 100,
 		Counts: [target.NumCats]uint64{
 			target.CatBase: 60, target.CatAddr: 10, target.CatSFI: 25, target.CatBnop: 5,

@@ -118,12 +118,11 @@ type Result struct {
 
 // Config sizes a Server. Zero values select defaults.
 type Config struct {
-	Workers  int              // worker goroutines (default GOMAXPROCS)
-	QueueCap int              // submit backlog before Submit blocks (default 256)
-	Cache    *mcache.Cache    // shared translation cache (default mcache.New(0))
-	Metrics  *metrics.Metrics // counter set (default fresh)
-	TraceCap int              // recent-trace ring capacity (default trace.DefaultRecorderCap)
-	SlowCap  int              // slow-trace exemplar retention (default trace.DefaultTopKCap)
+	Workers  int           // worker goroutines (default GOMAXPROCS)
+	QueueCap int           // submit backlog before Submit blocks (default 256)
+	Cache    *mcache.Cache // shared translation cache (default mcache.New(0))
+	TraceCap int           // recent-trace ring capacity (default trace.DefaultRecorderCap)
+	SlowCap  int           // slow-trace exemplar retention (default trace.DefaultTopKCap)
 }
 
 type task struct {
@@ -180,12 +179,9 @@ func New(cfg Config) *Server {
 	if cfg.Cache == nil {
 		cfg.Cache = mcache.New(0)
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = &metrics.Metrics{}
-	}
 	s := &Server{
 		cache:  cfg.Cache,
-		met:    cfg.Metrics,
+		met:    &metrics.Metrics{},
 		traces: trace.NewRecorder(cfg.TraceCap),
 		slow:   trace.NewTopK(cfg.SlowCap),
 		tasks:  make(chan task, cfg.QueueCap),
@@ -210,8 +206,8 @@ func (s *Server) Submit(j Job) <-chan Result {
 		ch <- Result{ID: j.ID, Err: ErrClosed}
 		return ch
 	}
-	s.met.JobsSubmitted.Add(1)
-	s.met.QueueDepth.Add(1)
+	s.met.Add(metrics.JobsSubmitted, 1)
+	s.met.Add(metrics.QueueDepth, 1)
 	s.tasks <- task{job: j, ch: ch, tr: s.newTrace(j)}
 	s.closeMu.RUnlock()
 	return ch
@@ -255,8 +251,8 @@ func (s *Server) TrySubmit(j Job) (<-chan Result, bool) {
 	}
 	select {
 	case s.tasks <- task{job: j, ch: ch, tr: s.newTrace(j)}:
-		s.met.JobsSubmitted.Add(1)
-		s.met.QueueDepth.Add(1)
+		s.met.Add(metrics.JobsSubmitted, 1)
+		s.met.Add(metrics.QueueDepth, 1)
 		return ch, true
 	default:
 		return nil, false
@@ -307,27 +303,38 @@ func (s *Server) Slow() *trace.TopK { return s.slow }
 // Snapshot merges the server counters with the cache's.
 func (s *Server) Snapshot() metrics.Snapshot {
 	snap := s.met.Snapshot()
-	cs := s.cache.Stats()
-	snap.CacheHits = cs.Hits
-	snap.CacheCoalesced = cs.Coalesced
-	snap.CacheMisses = cs.Misses
-	snap.CacheEvictions = cs.Evictions
-	snap.CacheRejected = cs.Rejected
-	snap.CacheEntries = cs.Entries
-	snap.CacheBytes = cs.CodeBytes
-	snap.CacheDiskHits = cs.DiskHits
-	snap.CacheDiskWrites = cs.DiskWrites
-	snap.CacheDiskQuarantines = cs.DiskQuarantines
-	snap.CacheDisagreements = cs.Disagreements
-	snap.CachePeerHits = cs.PeerHits
-	snap.CachePeerQuarantines = cs.PeerQuarantines
-	snap.CacheSpotChecks = cs.SpotChecks
-	snap.CacheSpotCheckFails = cs.SpotCheckFails
+	cacheSection(&snap, s.cache.Stats())
 	if s.cluster != nil {
 		cl := s.cluster()
 		snap.Cluster = &cl
 	}
 	return snap
+}
+
+// cacheSection is the one mapping from the cache's counters to the
+// snapshot's cache_* fields. A test holds it complete: every counter
+// of mcache.Stats lands in a field of its own, bar the two the
+// snapshot does not report (Lookups, Inserts).
+func cacheSection(snap *metrics.Snapshot, cs mcache.Stats) {
+	snap.CacheHits = cs.Hits
+	snap.CacheCoalesced = cs.Coalesced
+	snap.CacheMisses = cs.Misses
+	snap.CacheEvictions = cs.Evictions
+	snap.CacheRejected = cs.Rejected
+	snap.CacheDisagreements = cs.Disagreements
+	snap.CacheEntries = int64(cs.Entries)
+	snap.CacheBytes = cs.CodeBytes
+	snap.CacheDiskHits = cs.DiskHits
+	snap.CacheDiskWrites = cs.DiskWrites
+	snap.CacheDiskQuarantines = cs.DiskQuarantines
+	snap.CachePeerHits = cs.PeerHits
+	snap.CachePeerQuarantines = cs.PeerQuarantines
+	snap.CacheSpotChecks = cs.SpotChecks
+	snap.CacheSpotCheckFails = cs.SpotCheckFails
+	snap.CacheAudits = cs.Audits
+	snap.CacheAuditHits = cs.AuditHits
+	snap.CacheAuditDiskWrites = cs.AuditDiskWrites
+	snap.CacheAuditQuarantines = cs.AuditQuarantines
 }
 
 // SetClusterSnapshot installs the provider for the cluster section of
@@ -344,12 +351,12 @@ func (s *Server) worker() {
 		// wait happened on no goroutine at all.
 		qd := time.Since(t.tr.Begin)
 		t.tr.Root.ChildSpan("queue_wait", 0, qd)
-		s.met.QueueWait.Observe(qd)
+		s.met.Observe(metrics.StageQueueWait, qd)
 
 		runStart := time.Now()
 		r := s.execute(t.job, t.tr)
 		rd := time.Since(runStart)
-		s.met.Run.Observe(rd)
+		s.met.Observe(metrics.StageRun, rd)
 		r.QueueWait, r.Run = qd, rd
 
 		status := "ok"
@@ -360,15 +367,15 @@ func (s *Server) worker() {
 			status = "faulted"
 		}
 		if r.Err != nil || r.Faulted {
-			s.met.JobsFailed.Add(1)
+			s.met.Add(metrics.JobsFailed, 1)
 		} else {
-			s.met.JobsRun.Add(1)
+			s.met.Add(metrics.JobsRun, 1)
 		}
 		t.tr.Finish(status)
 		s.traces.Add(t.tr)
 		s.slow.Add(t.tr)
 		r.Trace = t.tr
-		s.met.QueueDepth.Add(-1)
+		s.met.Add(metrics.QueueDepth, -1)
 		t.ch <- r
 	}
 }
@@ -397,7 +404,7 @@ func (s *Server) execute(j Job, tr *trace.Trace) (r Result) {
 	defer func() {
 		if p := recover(); p != nil {
 			r.Err = fmt.Errorf("serve: job %q %w: %v", j.ID, errJobPanic, p)
-			s.met.FaultsContained.Add(1)
+			s.met.Add(metrics.FaultsContained, 1)
 		}
 	}()
 	if j.Mod == nil || j.Machine == nil {
@@ -441,15 +448,15 @@ func (s *Server) execute(j Job, tr *trace.Trace) (r Result) {
 	if j.Opt.SFI {
 		csp := root.Child("cache")
 		prog, r.Cached, err = s.cache.TranslateTraced(csp, j.Mod, j.Machine, h.SegInfo(), j.Opt)
-		s.met.Translate.Observe(csp.End())
+		s.met.Observe(metrics.StageTranslate, csp.End())
 		if vsp := csp.Find("verify"); vsp != nil {
-			s.met.Verify.Observe(vsp.Dur())
+			s.met.Observe(metrics.StageVerify, vsp.Dur())
 		}
 		if psp := csp.Find("peer_fetch"); psp != nil {
-			s.met.PeerFetch.Observe(psp.Dur())
+			s.met.Observe(metrics.StagePeerFetch, psp.Dur())
 		}
 		if err == nil && !r.Cached {
-			s.met.Translations.Add(1)
+			s.met.Add(metrics.Translations, 1)
 		}
 	} else {
 		// Unsandboxed runs bypass the verified cache by design: the
@@ -457,8 +464,8 @@ func (s *Server) execute(j Job, tr *trace.Trace) (r Result) {
 		// passed the SFI verifier.
 		tsp := root.Child("translate").Set("result", "uncached")
 		prog, err = h.Translate(j.Machine, j.Opt)
-		s.met.Translate.Observe(tsp.End())
-		s.met.Translations.Add(1)
+		s.met.Observe(metrics.StageTranslate, tsp.End())
+		s.met.Add(metrics.Translations, 1)
 	}
 	if err != nil {
 		r.Err = fmt.Errorf("serve: job %q translation: %w", j.ID, err)
@@ -474,10 +481,10 @@ func (s *Server) execute(j Job, tr *trace.Trace) (r Result) {
 	execDur := xsp.End()
 	if err != nil {
 		if stop.Load() && errors.Is(err, core.ErrInterrupted) {
-			s.met.Timeouts.Add(1)
+			s.met.Add(metrics.Timeouts, 1)
 		}
 		if contained(err) {
-			s.met.FaultsContained.Add(1)
+			s.met.Add(metrics.FaultsContained, 1)
 		}
 		r.Err = fmt.Errorf("serve: job %q: %w", j.ID, err)
 		return r
@@ -494,11 +501,11 @@ func (s *Server) execute(j Job, tr *trace.Trace) (r Result) {
 	tr.AppInsts = r.Attr.App
 	tr.SandboxInsts = r.Attr.Sandbox
 	tr.SchedInsts = r.Attr.Sched
-	s.met.SimCycles.Add(res.Cycles)
-	s.met.SimInsts.Add(res.Insts)
-	s.met.Target(j.Machine.Arch).AddRun(res, execDur)
+	s.met.Add(metrics.SimCycles, int64(res.Cycles))
+	s.met.Add(metrics.SimInsts, int64(res.Insts))
+	s.met.AddRun(j.Machine.Arch, res, execDur)
 	if res.Faulted {
-		s.met.FaultsContained.Add(1)
+		s.met.Add(metrics.FaultsContained, 1)
 	}
 	if j.Post != nil {
 		psp := root.Child("post")
