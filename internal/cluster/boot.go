@@ -19,25 +19,17 @@ import (
 // cluster tests run against; the binary daemons wire the same pieces
 // together from flags.
 type BootConfig struct {
-	Nodes              int // member count (default 3)
-	Fanout             int
-	HotK               int
-	ReplicateEvery     time.Duration // 0 = node default; negative = manual (ReplicateOnce)
-	Vnodes             int
-	Workers            int     // per-node worker pool size
-	QueueCap           int     // per-node admission queue cap (0 = default)
-	CacheLimit         int64   // per-node in-memory cache budget
-	Rate               float64 // per-client rate limit (0 = netserve default)
-	Burst              float64 // per-client burst allowance
-	Verify             mcache.VerifyMode
-	PeerSpotCheckEvery int
+	Nodes          int // member count (default 3)
+	Fanout         int
+	ReplicateEvery time.Duration // 0 = node default; negative = manual (ReplicateOnce)
+	Workers        int           // per-node worker pool size
+	QueueCap       int           // per-node admission queue cap (0 = default)
+	Rate           float64       // per-client rate limit (0 = netserve default)
+	Burst          float64       // per-client burst allowance
+	Verify         mcache.VerifyMode
 	// Audit is every node's admission-gate policy (zero value = off).
 	Audit netserve.AuditConfig
-	// Secret is the shared peer-auth secret every node is configured
-	// with; empty generates a random one (the members are all in this
-	// process, so nobody else needs to know it).
-	Secret string
-	Logf   func(format string, args ...any)
+	Logf  func(format string, args ...any)
 }
 
 // Node is one member of an in-process cluster.
@@ -101,18 +93,18 @@ func (l *Local) Client(fanout int) *Client {
 // BootLocal starts an in-process cluster on loopback. Listeners are
 // bound first so every node knows the full member list before any
 // node is constructed; then each node gets its own cache (with the
-// cluster engine as its peer source), worker pool, and HTTP layer.
+// cluster engine as its peer source), worker pool, and HTTP layer. The
+// shared peer-auth secret is generated: the members are all in this
+// process, so nobody else needs to know it.
 func BootLocal(cfg BootConfig) (*Local, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 3
 	}
-	if cfg.Secret == "" {
-		var b [16]byte
-		if _, err := rand.Read(b[:]); err != nil {
-			return nil, fmt.Errorf("cluster: generating peer secret: %w", err)
-		}
-		cfg.Secret = hex.EncodeToString(b[:])
+	var b [16]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		return nil, fmt.Errorf("cluster: generating peer secret: %w", err)
 	}
+	secret := hex.EncodeToString(b[:])
 	liss := make([]net.Listener, 0, cfg.Nodes)
 	members := make([]string, 0, cfg.Nodes)
 	fail := func(err error) (*Local, error) {
@@ -135,11 +127,9 @@ func BootLocal(cfg BootConfig) (*Local, error) {
 		peers, err := New(Config{
 			Self:           members[i],
 			Members:        members,
-			Secret:         cfg.Secret,
+			Secret:         secret,
 			Fanout:         cfg.Fanout,
-			HotK:           cfg.HotK,
 			ReplicateEvery: cfg.ReplicateEvery,
-			Vnodes:         cfg.Vnodes,
 			Logf:           cfg.Logf,
 		})
 		if err != nil {
@@ -147,18 +137,16 @@ func BootLocal(cfg BootConfig) (*Local, error) {
 			return fail(err)
 		}
 		cache := mcache.NewWith(mcache.Config{
-			Limit:              cfg.CacheLimit,
-			Verify:             cfg.Verify,
-			Peer:               peers,
-			PeerSpotCheckEvery: cfg.PeerSpotCheckEvery,
-			Logf:               cfg.Logf,
+			Verify: cfg.Verify,
+			Peer:   peers,
+			Logf:   cfg.Logf,
 		})
 		srv := serve.New(serve.Config{Workers: cfg.Workers, QueueCap: cfg.QueueCap, Cache: cache})
 		srv.SetClusterSnapshot(peers.Snapshot)
 		h, err := netserve.New(netserve.Config{
 			Server:   srv,
 			Peer:     peers,
-			PeerAuth: cfg.Secret,
+			PeerAuth: secret,
 			Rate:     cfg.Rate,
 			Burst:    cfg.Burst,
 			Audit:    cfg.Audit,

@@ -24,8 +24,7 @@ const DefaultClientTimeout = 2 * time.Minute
 // and cluster agree on ownership.
 type ClientConfig struct {
 	Addrs  []string
-	Fanout int // owners tried before spilling to the rest (default 2)
-	Vnodes int
+	Fanout int                  // owners tried before spilling to the rest (default 2)
 	HTTP   *http.Client         // per-node HTTP client (default: DefaultClientTimeout-bounded)
 	Retry  netserve.RetryPolicy // per-node shed-retry policy
 }
@@ -52,7 +51,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.HTTP == nil {
 		cfg.HTTP = &http.Client{Timeout: DefaultClientTimeout}
 	}
-	return &Client{cfg: cfg, ring: NewRing(cfg.Addrs, cfg.Vnodes)}, nil
+	return &Client{cfg: cfg, ring: NewRing(cfg.Addrs, DefaultVnodes)}, nil
 }
 
 // Ring exposes the client's view of the ring (omnictl cluster ring).

@@ -46,7 +46,6 @@ type Config struct {
 	// Negative disables the background replicator; ReplicateOnce
 	// still works.
 	ReplicateEvery time.Duration
-	Vnodes         int          // ring points per member (default DefaultVnodes)
 	HTTP           *http.Client // peer HTTP client (default: DefaultPeerTimeout-bounded)
 	Logf           func(format string, args ...any)
 }
@@ -143,7 +142,7 @@ func New(cfg Config) (*Peers, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	ring := NewRing(cfg.Members, cfg.Vnodes)
+	ring := NewRing(cfg.Members, DefaultVnodes)
 	self := false
 	stats := map[string]*peerCounters{}
 	for _, m := range ring.Members() {

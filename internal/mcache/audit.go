@@ -9,30 +9,19 @@ import (
 	"omniware/internal/audit"
 	"omniware/internal/mcache/diskstore"
 	"omniware/internal/ovm"
-	"omniware/internal/trace"
 )
 
-// Audit returns the static-analysis report for mod, running the
-// pipeline on first sight and memoizing by module hash. The report is
-// derived, never loaded: when the persistent tier holds a stored audit
-// for the hash, the stored blob is compared against the fresh
-// derivation — a mismatch quarantines the stored copy (it is evidence
-// of tampering or an analyzer change, either way not servable) and the
-// derived report wins. This is the same verified-on-arrival discipline
-// translations get: disk and peers supply hints and receipts, but
-// every verdict served from this node was computed by this node.
-func (c *Cache) Audit(mod *ovm.Module) (*audit.Report, error) {
-	return c.AuditTraced(nil, mod, ModuleHash(mod))
-}
-
-// AuditHashed is Audit for callers that already hold the module hash.
-func (c *Cache) AuditHashed(mod *ovm.Module, hash string) (*audit.Report, error) {
-	return c.AuditTraced(nil, mod, hash)
-}
-
-// AuditTraced is AuditHashed with an omnitrace span for the analysis
-// stage (nil sp records nothing).
-func (c *Cache) AuditTraced(sp *trace.Span, mod *ovm.Module, hash string) (*audit.Report, error) {
+// Audit returns the static-analysis report for mod, whose content hash
+// the caller already holds, running the pipeline on first sight and
+// memoizing by that hash. The report is derived, never loaded: when the
+// persistent tier holds a stored audit for the hash, the stored blob is
+// compared against the fresh derivation — a mismatch quarantines the
+// stored copy (it is evidence of tampering or an analyzer change,
+// either way not servable) and the derived report wins. This is the
+// same verified-on-arrival discipline translations get: disk and peers
+// supply hints and receipts, but every verdict served from this node
+// was computed by this node.
+func (c *Cache) Audit(mod *ovm.Module, hash string) (*audit.Report, error) {
 	c.auditMu.Lock()
 	if rep, ok := c.audits[hash]; ok {
 		c.auditMu.Unlock()
@@ -41,9 +30,7 @@ func (c *Cache) AuditTraced(sp *trace.Span, mod *ovm.Module, hash string) (*audi
 	}
 	c.auditMu.Unlock()
 
-	csp := sp.Child("audit")
 	rep, err := audit.Analyze(mod)
-	csp.End()
 	if err != nil {
 		return nil, fmt.Errorf("mcache: audit %s: %w", hash, err)
 	}
@@ -56,14 +43,18 @@ func (c *Cache) AuditTraced(sp *trace.Span, mod *ovm.Module, hash string) (*audi
 	c.reconcileStoredAudit(hash, rep)
 
 	c.auditMu.Lock()
+	defer c.auditMu.Unlock()
 	if prior, ok := c.audits[hash]; ok {
 		// Another deriver won the race; both derivations are equal by
 		// determinism, keep the memoized one.
-		c.auditMu.Unlock()
 		return prior, nil
 	}
 	c.audits[hash] = rep
-	c.auditMu.Unlock()
+	c.auditOrder = append(c.auditOrder, hash)
+	for len(c.auditOrder) > AuditMemoCap {
+		delete(c.audits, c.auditOrder[0])
+		c.auditOrder = c.auditOrder[1:]
+	}
 	return rep, nil
 }
 
@@ -78,8 +69,9 @@ func (c *Cache) AuditByHash(hash string) (*audit.Report, bool) {
 }
 
 // reconcileStoredAudit compares the fresh derivation against the
-// persistent tier: confirm-or-quarantine on presence, write-through on
-// absence.
+// persistent tier: confirm on a match, write through on absence, and
+// quarantine-then-rewrite when the stored copy disagrees or cannot be
+// read (a corrupt envelope gets the same treatment as a mismatch).
 func (c *Cache) reconcileStoredAudit(hash string, rep *audit.Report) {
 	if c.disk == nil {
 		return
@@ -89,37 +81,23 @@ func (c *Cache) reconcileStoredAudit(hash string, rep *audit.Report) {
 		return
 	}
 	stored, err := c.disk.GetAudit(hash)
-	switch {
-	case err == nil:
-		if !bytes.Equal(stored, fresh) {
-			c.ctr.auditQuarantines.Add(1)
-			c.logf("mcache: stored audit for %s disagrees with re-derivation; quarantined", hash)
-			if qerr := c.disk.QuarantineAudit(hash); qerr != nil {
-				c.logf("mcache: %v", qerr)
-			}
-			if perr := c.disk.PutAudit(hash, fresh); perr != nil {
-				c.logf("mcache: rewriting audit for %s: %v", hash, perr)
-			} else {
-				c.ctr.auditDiskWrites.Add(1)
-			}
-		}
-	case errors.Is(err, diskstore.ErrNotFound):
-		if perr := c.disk.PutAudit(hash, fresh); perr != nil {
-			c.logf("mcache: writing audit for %s: %v", hash, perr)
-		} else {
-			c.ctr.auditDiskWrites.Add(1)
-		}
-	default:
-		// Corrupt envelope: same treatment as a mismatch.
+	if err == nil && bytes.Equal(stored, fresh) {
+		return
+	}
+	if !errors.Is(err, diskstore.ErrNotFound) {
 		c.ctr.auditQuarantines.Add(1)
-		c.logf("mcache: stored audit for %s unreadable: %v; quarantined", hash, err)
+		if err == nil {
+			c.logf("mcache: stored audit for %s disagrees with re-derivation; quarantined", hash)
+		} else {
+			c.logf("mcache: stored audit for %s unreadable: %v; quarantined", hash, err)
+		}
 		if qerr := c.disk.QuarantineAudit(hash); qerr != nil {
 			c.logf("mcache: %v", qerr)
 		}
-		if perr := c.disk.PutAudit(hash, fresh); perr != nil {
-			c.logf("mcache: rewriting audit for %s: %v", hash, perr)
-		} else {
-			c.ctr.auditDiskWrites.Add(1)
-		}
 	}
+	if perr := c.disk.PutAudit(hash, fresh); perr != nil {
+		c.logf("mcache: writing audit for %s: %v", hash, perr)
+		return
+	}
+	c.ctr.auditDiskWrites.Add(1)
 }

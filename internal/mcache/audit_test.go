@@ -28,11 +28,11 @@ func TestAuditMemoizeAndPersist(t *testing.T) {
 	mod := buildMod(t, prog1)
 	hash := mcache.ModuleHash(mod)
 
-	r1, err := c.Audit(mod)
+	r1, err := c.Audit(mod, hash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c.Audit(mod)
+	r2, err := c.Audit(mod, hash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestAuditMemoizeAndPersist(t *testing.T) {
 	// confirms the stored blob silently.
 	var logged2 []string
 	c2 := openCache(t, dir, &logged2)
-	if _, err := c2.Audit(mod); err != nil {
+	if _, err := c2.Audit(mod, hash); err != nil {
 		t.Fatal(err)
 	}
 	if st := c2.Stats(); st.AuditQuarantines != 0 || st.AuditDiskWrites != 0 {
@@ -69,7 +69,7 @@ func TestAuditMemoizeAndPersist(t *testing.T) {
 	}
 	var logged3 []string
 	c3 := openCache(t, dir, &logged3)
-	r3, err := c3.Audit(mod)
+	r3, err := c3.Audit(mod, hash)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +94,8 @@ func TestAuditMemoizeAndPersist(t *testing.T) {
 func TestAuditHashMismatchRefused(t *testing.T) {
 	c := mcache.New(0)
 	mod := buildMod(t, prog1)
-	if _, err := c.AuditHashed(mod, "not-the-hash"); err == nil {
-		t.Fatal("AuditHashed accepted a wrong hash")
+	if _, err := c.Audit(mod, "not-the-hash"); err == nil {
+		t.Fatal("Audit accepted a wrong hash")
 	}
 	if _, ok := c.AuditByHash("not-the-hash"); ok {
 		t.Fatal("wrong-hash report was memoized")

@@ -123,7 +123,7 @@ func TestVerifierDisagreementRejectedFromMemory(t *testing.T) {
 	}
 
 	c := mcache.NewWith(mcache.Config{Verify: mcache.VerifyBoth, Logf: func(string, ...any) {}})
-	err := c.Insert(mod, m, si, opt, prog)
+	err := admitForeign(c, mod, m, si, opt, prog)
 	if err == nil {
 		t.Fatal("dual gate admitted a program the verifiers disagree on")
 	}
@@ -144,10 +144,11 @@ func TestVerifierDisagreementRejectedFromMemory(t *testing.T) {
 	if got == prog {
 		t.Fatal("cache served the rejected program")
 	}
-	// Under VerifyAbsint alone the same program is admitted — the
-	// disagreement counter is specific to the dual gate.
+	// Under VerifyAbsint alone the same program passes the verifier
+	// gate — the disagreement counter is specific to the dual gate. (No
+	// correspondence check: the diamond is no module's translation.)
 	ca := mcache.NewWith(mcache.Config{Verify: mcache.VerifyAbsint})
-	if err := ca.Insert(mod, m, si, opt, prog); err != nil {
+	if err := ca.AdmitKeyed(mcache.Key(mod, m, si, opt), prog, nil); err != nil {
 		t.Fatalf("absint-only gate rejected what absint accepts: %v", err)
 	}
 }

@@ -224,9 +224,16 @@ type Cache struct {
 	spotClock atomic.Uint64
 	logf      func(format string, args ...any)
 
-	auditMu sync.Mutex
-	audits  map[string]*audit.Report // module hash -> memoized report
+	auditMu    sync.Mutex
+	audits     map[string]*audit.Report // module hash -> memoized report
+	auditOrder []string                 // insertion order, for the AuditMemoCap eviction
 }
+
+// AuditMemoCap bounds the memoized audit reports, oldest out first.
+// netserve takes its default registry cap from it: the memo serves the
+// modules a node holds, and a report that fell out (a larger registry,
+// refused modules taking slots) is re-derived on demand.
+const AuditMemoCap = 256
 
 // shardFor hashes k (FNV-1a, inlined to stay allocation-free) to its
 // home shard.
@@ -466,28 +473,6 @@ func (c *Cache) writeThrough(sp *trace.Span, k string, prog *target.Program) {
 		return
 	}
 	c.ctr.diskWrites.Add(1)
-}
-
-// Insert admits an externally produced translation — the paper's
-// mobile-code scenario where the native program arrives with the module
-// instead of being produced locally. The program is verified against
-// the policy it would execute under; on failure nothing is cached and
-// the verifier's report is returned.
-func (c *Cache) Insert(mod *ovm.Module, mach *target.Machine, si translate.SegInfo, opt translate.Options, prog *target.Program) error {
-	if !opt.SFI {
-		return ErrUnsandboxed
-	}
-	if err := c.admit(nil, prog, mach, si); err != nil {
-		return err
-	}
-	k := key(ModuleHash(mod), mach, si, opt)
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	keep := c.insertLocked(sh, k, prog)
-	sh.mu.Unlock()
-	c.evict(keep)
-	c.writeThrough(nil, k, prog)
-	return nil
 }
 
 // admit is the verifier gate every entry passes through. Which

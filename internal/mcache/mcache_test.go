@@ -118,8 +118,8 @@ func TestUnsandboxedRefused(t *testing.T) {
 	if _, _, err := c.Translate(mod, target.MIPSMachine(), si, translate.Paper(false)); !errors.Is(err, mcache.ErrUnsandboxed) {
 		t.Errorf("non-SFI translation not refused: %v", err)
 	}
-	if err := c.Insert(mod, target.MIPSMachine(), si, translate.Paper(false), &target.Program{}); !errors.Is(err, mcache.ErrUnsandboxed) {
-		t.Errorf("non-SFI insert not refused: %v", err)
+	if err := admitForeign(c, mod, target.MIPSMachine(), si, translate.Paper(false), &target.Program{}); !errors.Is(err, mcache.ErrUnsandboxed) {
+		t.Errorf("non-SFI admission not refused: %v", err)
 	}
 }
 
@@ -200,6 +200,15 @@ func TestSingleflightDeduplication(t *testing.T) {
 	}
 }
 
+// admitForeign offers prog to the cache the way production receives a
+// translation it did not make: AdmitKeyed under the explicit key, with
+// the correspondence check wired to a local retranslation.
+func admitForeign(c *mcache.Cache, mod *ovm.Module, m *target.Machine, si translate.SegInfo, opt translate.Options, prog *target.Program) error {
+	return c.AdmitKeyed(mcache.Key(mod, m, si, opt), prog, func() (*target.Program, error) {
+		return translate.Translate(mod, m, si, opt)
+	})
+}
+
 func TestInsertRejectsTamperedProgram(t *testing.T) {
 	mod := buildMod(t, prog1)
 	m := target.MIPSMachine()
@@ -211,7 +220,7 @@ func TestInsertRejectsTamperedProgram(t *testing.T) {
 	}
 	c := mcache.New(0)
 	// The honest translation is admitted.
-	if err := c.Insert(mod, m, si, opt, prog); err != nil {
+	if err := admitForeign(c, mod, m, si, opt, prog); err != nil {
 		t.Fatalf("clean translation rejected: %v", err)
 	}
 	// Strip one sandboxing mask: admission must refuse it.
@@ -232,7 +241,7 @@ func TestInsertRejectsTamperedProgram(t *testing.T) {
 	if !found {
 		t.Fatal("no sandboxing mask found to strip")
 	}
-	err = c.Insert(mod, m, si, opt, tampered)
+	err = admitForeign(c, mod, m, si, opt, tampered)
 	if err == nil || !strings.Contains(err.Error(), "admission rejected") {
 		t.Fatalf("tampered program admitted: %v", err)
 	}

@@ -275,12 +275,6 @@ func KeyModuleHash(k string) (string, error) {
 	return parts[1], nil
 }
 
-// KeyFor builds the cache key for a module hash without needing the
-// module itself — the cluster client's routing and probe path.
-func KeyFor(modHash string, mach *target.Machine, si translate.SegInfo, opt translate.Options) string {
-	return key(modHash, mach, si, opt)
-}
-
 // HotEntry is one memory-tier entry with its shard-local hit count —
 // the replication layer's raw material.
 type HotEntry struct {

@@ -8,12 +8,13 @@
 //	warn     analyze at admission, log + count violations, admit anyway
 //	enforce  analyze at admission, refuse violating modules with 422
 //
-// The gate sits in front of register() on every path, so a module the
-// policy refuses is never servable from this node — including the
-// peer-fill path, where a cold node re-derives the audit itself rather
-// than trusting the digest the supplying peer advertises. The report
-// itself is memoized and persisted by mcache (Cache.AuditHashed) under
-// the same verified-on-arrival discipline as translations.
+// The gate sits in front of register() inside Handler.admit, the one
+// function all three roads go through, so a module the policy refuses
+// is never servable from this node — including the peer-fill road,
+// where a cold node re-derives the audit itself rather than trusting
+// the digest the supplying peer advertises. The report itself is
+// memoized and persisted by mcache (Cache.Audit) under the same
+// verified-on-arrival discipline as translations.
 package netserve
 
 import (
@@ -134,7 +135,7 @@ func (h *Handler) runAudit(mod *ovm.Module, hash, what string) (auditOutcome, er
 	}
 	met := h.srv.Metrics()
 	start := time.Now()
-	rep, err := h.srv.Cache().AuditHashed(mod, hash)
+	rep, err := h.srv.Cache().Audit(mod, hash)
 	out.dur = time.Since(start)
 	met.Observe(metrics.StageAudit, out.dur)
 	if err != nil {
@@ -178,7 +179,7 @@ func (h *Handler) handleAuditGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "module %q not uploaded", hash)
 		return
 	}
-	rep, err := h.srv.Cache().AuditHashed(ent.mod, hash)
+	rep, err := h.srv.Cache().Audit(ent.mod, hash)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "auditing module %s: %v", hash, err)
 		return
@@ -189,13 +190,5 @@ func (h *Handler) handleAuditGet(w http.ResponseWriter, r *http.Request) {
 // Audit fetches the full static-analysis report for an uploaded
 // module by content hash.
 func (c *Client) Audit(hash string) (*audit.Report, error) {
-	req, err := http.NewRequest(http.MethodGet, c.Base+"/v1/audit/"+hash, nil)
-	if err != nil {
-		return nil, err
-	}
-	var out audit.Report
-	if err := c.do(req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return get[audit.Report](c, "/v1/audit/"+hash)
 }

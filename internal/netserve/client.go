@@ -182,17 +182,22 @@ func (c *Client) Exec(r ExecRequest) (*ExecResponse, error) {
 	return &out, nil
 }
 
-// Metrics fetches the server's counter snapshot.
-func (c *Client) Metrics() (*metrics.Snapshot, error) {
-	req, err := http.NewRequest(http.MethodGet, c.Base+"/v1/metrics", nil)
+// get issues a GET for path and decodes the JSON reply as a T.
+func get[T any](c *Client, path string) (*T, error) {
+	req, err := http.NewRequest(http.MethodGet, c.Base+path, nil)
 	if err != nil {
 		return nil, err
 	}
-	var out metrics.Snapshot
+	var out T
 	if err := c.do(req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
+}
+
+// Metrics fetches the server's counter snapshot.
+func (c *Client) Metrics() (*metrics.Snapshot, error) {
+	return get[metrics.Snapshot](c, "/v1/metrics")
 }
 
 // MetricsProm fetches the counter snapshot in the Prometheus text
@@ -213,77 +218,49 @@ func (c *Client) MetricsProm() (string, error) {
 		return "", err
 	}
 	if resp.StatusCode/100 != 2 {
-		return "", &StatusError{Code: resp.StatusCode, Message: string(bytes.TrimSpace(body)),
-			RequestID: resp.Header.Get(RequestIDHeader)}
+		return "", statusErrorFrom(resp, body)
 	}
 	return string(body), nil
 }
 
 // Trace fetches one job's full span tree by job ID.
 func (c *Client) Trace(id string) (*trace.Trace, error) {
-	req, err := http.NewRequest(http.MethodGet, c.Base+"/v1/trace/"+url.PathEscape(id), nil)
-	if err != nil {
-		return nil, err
-	}
-	var out trace.Trace
-	if err := c.do(req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return get[trace.Trace](c, "/v1/trace/"+url.PathEscape(id))
 }
 
 // RecentTraces lists summaries of up to n recent finished jobs,
 // newest first.
 func (c *Client) RecentTraces(n int) ([]TraceSummary, error) {
-	u := c.Base + "/v1/trace/recent"
+	path := "/v1/trace/recent"
 	if n > 0 {
-		u += "?n=" + strconv.Itoa(n)
+		path += "?n=" + strconv.Itoa(n)
 	}
-	req, err := http.NewRequest(http.MethodGet, u, nil)
+	out, err := get[[]TraceSummary](c, path)
 	if err != nil {
 		return nil, err
 	}
-	var out []TraceSummary
-	if err := c.do(req, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return *out, nil
 }
 
 // SlowTraces lists the K slowest traces a node ever finished, slowest
 // first.
 func (c *Client) SlowTraces() ([]scope.Exemplar, error) {
-	req, err := http.NewRequest(http.MethodGet, c.Base+"/v1/trace/slow", nil)
+	out, err := get[[]scope.Exemplar](c, "/v1/trace/slow")
 	if err != nil {
 		return nil, err
 	}
-	var out []scope.Exemplar
-	if err := c.do(req, &out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return *out, nil
 }
 
 // ClusterMetrics fetches the fleet-merged view from one node's
 // /v1/cluster/metrics fan-out.
 func (c *Client) ClusterMetrics() (*scope.Fleet, error) {
-	req, err := http.NewRequest(http.MethodGet, c.Base+"/v1/cluster/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	var out scope.Fleet
-	if err := c.do(req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return get[scope.Fleet](c, "/v1/cluster/metrics")
 }
 
 // Health probes /healthz; nil means the server is up and not
 // draining.
 func (c *Client) Health() error {
-	req, err := http.NewRequest(http.MethodGet, c.Base+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	return c.do(req, nil)
+	_, err := get[struct{}](c, "/healthz")
+	return err
 }

@@ -2,6 +2,9 @@ package netserve_test
 
 import (
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -116,5 +119,30 @@ func TestClientSurfacesRetryAfterAndRetries(t *testing.T) {
 	}
 	if len(delays) != before {
 		t.Fatalf("helper slept on a non-retryable error")
+	}
+}
+
+// MetricsProm reports a refusal like every other call: the message out
+// of the JSON error body rather than the body's raw bytes, with the
+// Retry-After hint and the request id.
+func TestMetricsPromSurfacesStatusError(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "7")
+		w.Header().Set(netserve.RequestIDHeader, "r42")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		_, _ = io.WriteString(w, `{"error":"draining","request_id":"r42"}`)
+	}))
+	defer ts.Close()
+	_, err := (&netserve.Client{Base: ts.URL}).MetricsProm()
+	var se *netserve.StatusError
+	if !errors.As(err, &se) {
+		t.Fatalf("MetricsProm on a 503: %v", err)
+	}
+	want := netserve.StatusError{Code: 503, Message: "draining", RetryAfter: 7, RequestID: "r42"}
+	if *se != want {
+		t.Errorf("MetricsProm error %+v, want %+v", *se, want)
+	}
+	if !netserve.Retryable(err) {
+		t.Error("a 503 from MetricsProm is not classified retryable")
 	}
 }

@@ -72,7 +72,7 @@ const RequestIDHeader = "X-Omni-Request-Id"
 
 // Defaults for Config zero values.
 const (
-	DefaultMaxModules      = 256
+	DefaultMaxModules      = mcache.AuditMemoCap // 256: the audit memo is sized to hold a default registry's reports
 	DefaultMaxModuleBytes  = 16 << 20
 	DefaultRate            = 50  // requests/second/client
 	DefaultBurst           = 100 // bucket capacity
@@ -86,7 +86,7 @@ const (
 // Config sizes a Handler. Zero values select the defaults above.
 type Config struct {
 	Server         *serve.Server // required: the worker pool
-	MaxModules     int           // uploaded-module registry cap (LRU beyond it)
+	MaxModules     int           // uploaded-module registry cap (oldest registration evicted beyond it)
 	MaxModuleBytes int64         // upload size limit
 	Rate           float64       // per-client token refill, requests/second
 	Burst          float64       // per-client bucket size
@@ -291,28 +291,81 @@ func (h *Handler) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, "reading module: %v", err)
 		return
 	}
-	decodeStart := time.Now()
-	mod, blob, hash, err := decodeCanonical(body)
-	decodeDur := time.Since(decodeStart)
-	h.srv.Metrics().Observe(metrics.StageDecode, decodeDur)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	adms, ref := h.admit([][]byte{body}, "", "module")
+	if ref != nil {
+		writeError(w, ref.status, "%v", ref.err)
 		return
 	}
-	out, err := h.runAudit(mod, hash, "module "+hash)
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
-		return
+	writeJSON(w, http.StatusOK, adms[0].response())
+}
+
+// admission is one module that came through admit and is now
+// registered.
+type admission struct {
+	hash    string
+	ent     modEntry
+	out     auditOutcome
+	existed bool // an identical module was already registered
+}
+
+func (a admission) response() UploadResponse {
+	mod := a.ent.mod
+	return UploadResponse{
+		Hash:     a.hash,
+		Insts:    len(mod.Text),
+		DataLen:  len(mod.Data),
+		BSSSize:  mod.BSSSize,
+		Entry:    mod.Entry,
+		Replaced: a.existed,
+		Audit:    a.out.summary(),
 	}
-	if out.rejected {
-		writeError(w, http.StatusUnprocessableEntity,
-			"audit rejected module %s: %s", hash, violationText(out.violations))
-		return
+}
+
+// refusal is why admit turned a set of blobs away: which member, the
+// HTTP status a front door answers with (400 for bytes that are not the
+// module they should be, 422 for the audit gate), and the reason.
+type refusal struct {
+	member int
+	status int
+	err    error
+}
+
+// admit is the one way a module enters the registry, whatever road its
+// bytes arrived by — upload, batch, or peer fill on an exec miss:
+// canonical decode (every attempt lands in the StageDecode histogram,
+// failed or not), the content-address check when the road names the
+// hash it expects (want; "" when the bytes name themselves), the audit
+// gate with its enforce-mode refusal, then register. It is
+// all-or-nothing: every blob is decoded and audited before any is
+// registered, so one refusal leaves the registry untouched. what names
+// the module's kind in logs and error text.
+func (h *Handler) admit(blobs [][]byte, want, what string) ([]admission, *refusal) {
+	adms := make([]admission, len(blobs))
+	for i, blob := range blobs {
+		start := time.Now()
+		mod, canon, hash, err := decodeCanonical(blob)
+		decodeDur := time.Since(start)
+		h.srv.Metrics().Observe(metrics.StageDecode, decodeDur)
+		if err == nil && want != "" && hash != want {
+			err = fmt.Errorf("content hash is %s, want %s", hash, want)
+		}
+		if err != nil {
+			return nil, &refusal{i, http.StatusBadRequest, err}
+		}
+		out, err := h.runAudit(mod, hash, what+" "+hash)
+		if err == nil && out.rejected {
+			err = fmt.Errorf("audit rejected %s %s: %s", what, hash, violationText(out.violations))
+		}
+		if err != nil {
+			return nil, &refusal{i, http.StatusUnprocessableEntity, err}
+		}
+		adms[i] = admission{hash: hash, out: out,
+			ent: modEntry{mod: mod, blob: canon, decode: decodeDur, audit: out.dur}}
 	}
-	existed := h.register(modEntry{mod: mod, blob: blob, decode: decodeDur, audit: out.dur}, hash)
-	resp := uploadResponseFor(mod, hash, existed)
-	resp.Audit = out.summary()
-	writeJSON(w, http.StatusOK, resp)
+	for i := range adms {
+		adms[i].existed = h.register(adms[i].ent, adms[i].hash)
+	}
+	return adms, nil
 }
 
 // decodeCanonical decodes an OMW blob strictly and returns the module
@@ -348,17 +401,6 @@ func (h *Handler) register(ent modEntry, hash string) (existed bool) {
 		delete(h.mods, evict)
 	}
 	return false
-}
-
-func uploadResponseFor(mod *ovm.Module, hash string, existed bool) UploadResponse {
-	return UploadResponse{
-		Hash:     hash,
-		Insts:    len(mod.Text),
-		DataLen:  len(mod.Data),
-		BSSSize:  mod.BSSSize,
-		Entry:    mod.Entry,
-		Replaced: existed,
-	}
 }
 
 // ExecRequest asks for one run of an uploaded module.

@@ -36,7 +36,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"time"
 
 	"omniware/internal/mcache"
 	"omniware/internal/scope"
@@ -309,50 +308,36 @@ func checkPeerKey(key, hash, targetName string) error {
 }
 
 // fetchModuleViaPeers pulls a module the cluster knows but this node
-// does not, verifying the content address and re-deriving the
-// admission audit before registering it. Any mismatch — undecodable,
-// or hash of the canonical re-encoding not the requested name — is
-// discarded; a peer cannot plant a module under a false identity. A
-// non-nil error is the audit gate refusing the module: peer fill is
-// just upload by another road, so a module the gate would have
-// rejected at upload is rejected on arrival too, before it can be
-// registered or served. The supplying peer's span subtree and address
-// come back alongside so the caller can stitch the fetch into its
-// trace.
+// does not and sends it through admit under the name it was asked for.
+// Bytes that are undecodable, or whose canonical re-encoding hashes to
+// another name, are discarded as a miss; a peer cannot plant a module
+// under a false identity. A non-nil error is the audit gate refusing
+// the module: peer fill is just upload by another road, so a module the
+// gate would have rejected at upload is rejected on arrival too. The
+// supplying peer's span subtree and address come back alongside so the
+// caller can stitch the fetch into its trace.
 func (h *Handler) fetchModuleViaPeers(hash string, org mcache.PeerOrigin) (modEntry, *trace.Span, string, error) {
 	blob, remote, peer, peerDigest, ok := h.cfg.Peer.FetchModule(hash, org)
 	if !ok {
 		return modEntry{}, nil, "", nil
 	}
-	decodeStart := time.Now()
-	mod, canon, gotHash, err := decodeCanonical(blob)
-	decodeDur := time.Since(decodeStart)
-	if err != nil || gotHash != hash {
-		h.cfg.Logf("netserve: peer module fetch for %s: bad blob (err=%v, hash=%s)", hash, err, gotHash)
+	adms, ref := h.admit([][]byte{blob}, hash, "peer-filled module")
+	if ref != nil {
+		h.cfg.Logf("netserve: peer module fetch for %s from %s refused: %v", hash, peer, ref.err)
+		if ref.status == http.StatusUnprocessableEntity {
+			return modEntry{}, nil, "", ref.err
+		}
 		return modEntry{}, nil, "", nil
 	}
-	h.srv.Metrics().Observe(metrics.StageDecode, decodeDur)
-	out, aerr := h.runAudit(mod, hash, "peer-filled module "+hash)
-	if aerr != nil {
-		return modEntry{}, nil, "", aerr
-	}
-	if out.rejected {
-		h.cfg.Logf("netserve: audit rejected peer-filled module %s from %s: %s",
-			hash, peer, violationText(out.violations))
-		return modEntry{}, nil, "", fmt.Errorf(
-			"audit rejected peer-filled module %s: %s", hash, violationText(out.violations))
-	}
-	if out.rep != nil && peerDigest != "" && peerDigest != out.rep.Digest() {
+	if rep := adms[0].out.rep; rep != nil && peerDigest != "" && peerDigest != rep.Digest() {
 		// The peer's advertised digest disagrees with the local
 		// derivation. The local report is the authority (it gated the
 		// admission above); the divergence is worth an operator's eye —
 		// it means the fleet's analyzers disagree, or the peer lied.
 		h.cfg.Logf("netserve: peer %s advertised audit digest %s for %s; local derivation is %s",
-			peer, peerDigest, hash, out.rep.Digest())
+			peer, peerDigest, hash, rep.Digest())
 	}
-	ent := modEntry{mod: mod, blob: canon, decode: decodeDur, audit: out.dur}
-	h.register(ent, hash)
-	return ent, remote, peer, nil
+	return adms[0].ent, remote, peer, nil
 }
 
 // BatchUploadResponse lists the per-member results of a batch upload,
@@ -362,9 +347,10 @@ type BatchUploadResponse struct {
 }
 
 // handleUploadBatch accepts one OMB frame holding several OMW modules.
-// All-or-nothing: every member must decode before any is registered,
-// so a half-good batch does not leave the registry in a state the
-// client has to reverse-engineer from partial errors.
+// All-or-nothing (admit's contract): every member must decode and pass
+// the audit gate before any is registered, so a half-good batch does
+// not leave the registry in a state the client has to reverse-engineer
+// from partial errors; the refusal names the member.
 func (h *Handler) handleUploadBatch(w http.ResponseWriter, r *http.Request) {
 	if !h.gate(w, r) {
 		return
@@ -374,51 +360,19 @@ func (h *Handler) handleUploadBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, "reading batch: %v", err)
 		return
 	}
-	decodeStart := time.Now()
 	blobs, err := wire.DecodeBatch(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding batch: %v", err)
 		return
 	}
-	ents := make([]modEntry, len(blobs))
-	hashes := make([]string, len(blobs))
-	for i, blob := range blobs {
-		mod, canon, hash, err := decodeCanonical(blob)
-		if err != nil {
-			h.srv.Metrics().Observe(metrics.StageDecode, time.Since(decodeStart))
-			writeError(w, http.StatusBadRequest, "batch member %d: %v", i, err)
-			return
-		}
-		ents[i] = modEntry{mod: mod, blob: canon}
-		hashes[i] = hash
+	adms, ref := h.admit(blobs, "", "module")
+	if ref != nil {
+		writeError(w, ref.status, "batch member %d: %v", ref.member, ref.err)
+		return
 	}
-	decodeDur := time.Since(decodeStart)
-	h.srv.Metrics().Observe(metrics.StageDecode, decodeDur)
-	// The audit gate keeps the all-or-nothing contract: every member is
-	// audited before any is registered, and one enforce-mode rejection
-	// refuses the whole batch, naming the member.
-	outs := make([]auditOutcome, len(ents))
-	for i := range ents {
-		out, err := h.runAudit(ents[i].mod, hashes[i], fmt.Sprintf("batch member %d (%s)", i, hashes[i]))
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, "batch member %d: %v", i, err)
-			return
-		}
-		if out.rejected {
-			writeError(w, http.StatusUnprocessableEntity,
-				"batch member %d: audit rejected module %s: %s", i, hashes[i], violationText(out.violations))
-			return
-		}
-		outs[i] = out
-	}
-	resp := BatchUploadResponse{Modules: make([]UploadResponse, len(blobs))}
-	for i := range ents {
-		// Each member carries the batch's decode cost share.
-		ents[i].decode = decodeDur / time.Duration(len(ents))
-		ents[i].audit = outs[i].dur
-		existed := h.register(ents[i], hashes[i])
-		resp.Modules[i] = uploadResponseFor(ents[i].mod, hashes[i], existed)
-		resp.Modules[i].Audit = outs[i].summary()
+	resp := BatchUploadResponse{Modules: make([]UploadResponse, len(adms))}
+	for i, a := range adms {
+		resp.Modules[i] = a.response()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -121,8 +121,6 @@ type Config struct {
 	Workers  int           // worker goroutines (default GOMAXPROCS)
 	QueueCap int           // submit backlog before Submit blocks (default 256)
 	Cache    *mcache.Cache // shared translation cache (default mcache.New(0))
-	TraceCap int           // recent-trace ring capacity (default trace.DefaultRecorderCap)
-	SlowCap  int           // slow-trace exemplar retention (default trace.DefaultTopKCap)
 }
 
 type task struct {
@@ -182,8 +180,8 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cache:  cfg.Cache,
 		met:    &metrics.Metrics{},
-		traces: trace.NewRecorder(cfg.TraceCap),
-		slow:   trace.NewTopK(cfg.SlowCap),
+		traces: trace.NewRecorder(trace.DefaultRecorderCap),
+		slow:   trace.NewTopK(trace.DefaultTopKCap),
 		tasks:  make(chan task, cfg.QueueCap),
 	}
 	for i := 0; i < cfg.Workers; i++ {

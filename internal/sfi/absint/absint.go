@@ -40,20 +40,6 @@ type Stats struct {
 	Iterations int // worklist instruction visits until fixpoint
 }
 
-// Options tunes the analysis. The zero value is the full verifier.
-type Options struct {
-	// Compat restricts the analysis to the elder verifier's rule
-	// shapes: facts reset at block boundaries instead of joining,
-	// interval reasoning applies only to the dedicated sandbox
-	// register, and the stack pointer is trusted by name only. The
-	// differential harness uses it to classify a disagreement: if the
-	// full verifier accepts what sfi.Check rejects but Compat mode
-	// agrees with sfi.Check, the difference is exactly the documented
-	// extra precision (cross-block joins, value tracking through
-	// copies) and not a bug in either implementation.
-	Compat bool
-}
-
 // Check verifies prog against PolicyFor(m, si) and reports failure as
 // an error naming the first violations, mirroring sfi.Check's contract.
 func Check(prog *target.Program, m *target.Machine, si translate.SegInfo) error {
@@ -64,7 +50,7 @@ func Check(prog *target.Program, m *target.Machine, si translate.SegInfo) error 
 // CheckStats is Check plus the analysis statistics.
 func CheckStats(prog *target.Program, m *target.Machine, si translate.SegInfo) (Stats, error) {
 	var st Stats
-	vs := VerifyOpts(prog, sfi.PolicyFor(m, si), Options{}, &st)
+	vs := VerifyStats(prog, sfi.PolicyFor(m, si), &st)
 	if len(vs) == 0 {
 		return st, nil
 	}
@@ -80,19 +66,18 @@ func CheckStats(prog *target.Program, m *target.Machine, si translate.SegInfo) (
 	return st, fmt.Errorf("%s", msg)
 }
 
-// Verify runs the full analysis and returns every undischarged
-// obligation (nil means the program is admitted).
+// Verify runs the analysis and returns every undischarged obligation
+// (nil means the program is admitted).
 func Verify(prog *target.Program, p sfi.Policy) []sfi.Violation {
-	return VerifyOpts(prog, p, Options{}, nil)
+	return VerifyStats(prog, p, nil)
 }
 
-// VerifyOpts is Verify with analysis options and an optional stats
-// sink.
-func VerifyOpts(prog *target.Program, p sfi.Policy, o Options, st *Stats) []sfi.Violation {
+// VerifyStats is Verify with an optional stats sink.
+func VerifyStats(prog *target.Program, p sfi.Policy, st *Stats) []sfi.Violation {
 	if p.GuardZone == 0 {
 		p.GuardZone = 4096
 	}
-	v := &verifier{prog: prog, p: p, m: p.Machine, o: o, st: st}
+	v := &verifier{prog: prog, p: p, m: p.Machine, st: st}
 	return v.run()
 }
 
@@ -200,7 +185,6 @@ type verifier struct {
 	prog *target.Program
 	p    sfi.Policy
 	m    *target.Machine
-	o    Options
 	st   *Stats
 
 	sp       target.Reg
@@ -285,21 +269,15 @@ func (v *verifier) run() []sfi.Violation {
 			if v.o2nDest[s] {
 				continue // pinned to the stub state
 			}
-			next := out
-			if v.leaders[s] && v.o.Compat {
-				// Compat mode mirrors the elder verifier: no facts
-				// survive a block boundary (beyond the pinned ones).
-				next = stubSt
-			}
 			if !have[s] {
-				in[s] = next
+				in[s] = out
 				have[s] = true
 				push(int32(s))
 				continue
 			}
 			changed := false
 			for r := range in[s] {
-				j := join(in[s][r], next[r], v.leaders[s] && in[s][r].k == ival)
+				j := join(in[s][r], out[r], v.leaders[s] && in[s][r].k == ival)
 				if j != in[s][r] {
 					in[s][r] = j
 					changed = true
@@ -389,26 +367,12 @@ func (v *verifier) scanStub() {
 // stubState is the entry state of every indirect-branch destination
 // and exception handler: the stub-established dedicated constants
 // (write-protected, hence global), the stack pointer, top elsewhere.
-// In Compat mode only the global pointer keeps a value fact — the
-// elder verifier uses the other dedicated registers by name only, and
-// the classifier must match its accept-set exactly.
 func (v *verifier) stubState() state {
 	s := v.entryState()
 	for r, exp := range v.expected {
-		if !v.estab[r] {
-			continue
+		if v.estab[r] {
+			s.set(r, cst(exp))
 		}
-		if v.o.Compat && r != v.m.GP {
-			continue
-		}
-		s.set(r, cst(exp))
 	}
 	return s
-}
-
-func (v *verifier) maskOK() bool { return v.m.SFIMask != target.NoReg && v.estab[v.m.SFIMask] }
-func (v *verifier) baseOK() bool { return v.m.SFIBase != target.NoReg && v.estab[v.m.SFIBase] }
-func (v *verifier) codeOK() bool { return v.m.CodeMask != target.NoReg && v.estab[v.m.CodeMask] }
-func (v *verifier) gpOK() bool {
-	return v.m.GP != target.NoReg && v.p.GPValue != 0 && v.estab[v.m.GP]
 }

@@ -33,7 +33,7 @@ int main(void) { return f(10); }`,
 }
 
 // Every program the translator emits with SFI must pass the abstract
-// interpreter — in both modes — on every machine, and the stats must
+// interpreter on every machine, and the stats must
 // account for every obligation the program contains.
 func TestTranslatorOutputVerifies(t *testing.T) {
 	for pi, src := range verifierPrograms {
@@ -55,16 +55,11 @@ func TestTranslatorOutputVerifies(t *testing.T) {
 				}
 				pol := sfi.PolicyFor(m, h.SegInfo())
 				var st absint.Stats
-				if vs := absint.VerifyOpts(prog, pol, absint.Options{}, &st); len(vs) != 0 {
+				if vs := absint.VerifyStats(prog, pol, &st); len(vs) != 0 {
 					for _, v := range vs {
 						t.Errorf("prog %d %s hoist=%v: %s", pi, m.Name, hoist, v)
 					}
 					continue
-				}
-				if vs := absint.VerifyOpts(prog, pol, absint.Options{Compat: true}, nil); len(vs) != 0 {
-					for _, v := range vs {
-						t.Errorf("prog %d %s hoist=%v compat: %s", pi, m.Name, hoist, v)
-					}
 				}
 				want := sfi.Survey(prog)
 				if st.Stores != want.Stores || st.Indirects != want.Indirects {
@@ -106,8 +101,9 @@ func TestUnsandboxedCodeFailsVerification(t *testing.T) {
 // diamond that sandboxes the address in BOTH arms and stores after the
 // join. The elder verifier forgets everything at the block boundary and
 // rejects; the abstract interpreter joins the two sandboxed states and
-// accepts; Compat mode reproduces the elder's verdict; and the executor
-// confirms the accept is sound.
+// accepts; and the executor confirms the accept is sound. This is the
+// strict half of the containment contract (absint accepts ⊋ Check
+// accepts) pinned as a test.
 func TestJoinPrecisionKnownDifference(t *testing.T) {
 	for _, m := range target.Machines() {
 		if m.Arch == target.X86 {
@@ -121,9 +117,6 @@ func TestJoinPrecisionKnownDifference(t *testing.T) {
 		}
 		if vs := absint.Verify(prog, th.pol); len(vs) != 0 {
 			t.Errorf("%s: full absint rejected the diamond its joins should prove: %v", m.Name, vs)
-		}
-		if vs := absint.VerifyOpts(prog, th.pol, absint.Options{Compat: true}, nil); len(vs) == 0 {
-			t.Errorf("%s: compat mode accepted what sfi.Check rejects — classifier broken", m.Name)
 		}
 		if esc := th.contained(prog); len(esc) != 0 {
 			t.Errorf("%s: the diamond escaped at runtime: %v", m.Name, esc)

@@ -12,8 +12,8 @@ import (
 
 // TestExhaustiveSmallModel enumerates EVERY instruction sequence up to
 // the bound from the reduced per-target alphabet, wraps each in the
-// canonical sandbox stub, and races the verifiers against each other
-// and against the executor oracle. The default bound (length ≤ 3)
+// canonical sandbox stub, and holds the verifiers to the containment
+// contract (classify) and the executor oracle. The default bound (length ≤ 3)
 // exhausts on all four targets; OMNI_ENUM_LEN raises it for longer
 // offline runs.
 func TestExhaustiveSmallModel(t *testing.T) {
@@ -71,7 +71,7 @@ func TestExhaustiveSmallModel(t *testing.T) {
 				t.Errorf("enumerated %d sequences, expected %d (alphabet %d, length ≤ %d)",
 					total, want, len(al), maxLen)
 			}
-			t.Logf("%s: %d sequences exhausted (alphabet %d, length ≤ %d), zero disagreements",
+			t.Logf("%s: %d sequences exhausted (alphabet %d, length ≤ %d), zero findings",
 				m.Name, total, len(al), maxLen)
 		})
 	}

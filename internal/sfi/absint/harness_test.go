@@ -268,42 +268,37 @@ func alphabet(th *tharness) []synthInst {
 		synthInst{name: "beqz.back", in: target.Inst{Op: target.Beqz, Rd: no, Rs1: R, Rs2: no}, tgt: tgtSeq},
 		ins("nop", target.Inst{Op: target.Nop, Rd: no, Rs1: no, Rs2: no}),
 	)
+	// New entries go last: corpus seeds address the alphabet by index.
+	if m.Arch == target.X86 {
+		out = append(out,
+			ins("mask.zero", target.Inst{Op: target.AndI, Rd: A, Rs1: R, Rs2: no, Imm: 0}),
+		)
+	}
 	return out
 }
 
 // ---------------------------------------------------------------------
 // The differential classifier shared by the fuzzer and the enumerator.
 
-// classify races sfi.Check, the full abstract interpreter, and the
-// Compat-mode classifier on prog and enforces the agreement contract:
+// classify races sfi.Check and the abstract interpreter on prog and
+// enforces the containment contract:
 //
-//   - Compat mode must agree with sfi.Check exactly: any difference is a
-//     bug in one of them.
-//   - The full interpreter must dominate sfi.Check: anything the elder
-//     verifier proves, joins and value tracking must also prove.
-//   - Anything either verifier accepts must be contained when executed
-//     (the oracle).
+//   - Whatever sfi.Check accepts, the abstract interpreter accepts: joins
+//     and value tracking only add proofs, so a Check-only accept is a bug
+//     in one of them.
+//   - Whatever either verifier accepts is contained when executed (the
+//     oracle).
 //
-// The only tolerated difference — full accepts, Check and Compat both
-// reject — is the documented extra precision of path-sensitive joins,
-// and it still has to pass the executor oracle.
+// The abstract interpreter accepting what sfi.Check rejects is allowed —
+// that is its extra precision, and it still has to pass the oracle. A
+// false reject by sfi.Check is therefore not caught here; the corpus's
+// pinned verdicts and the every-benchmark-verifies tests cover that.
 func classify(t testing.TB, th *tharness, prog *target.Program, tag func() string) {
-	checkVs := sfi.Verify(prog, th.pol)
+	checkOK := len(sfi.Verify(prog, th.pol)) == 0
 	fullVs := absint.Verify(prog, th.pol)
-	checkOK := len(checkVs) == 0
 	fullOK := len(fullVs) == 0
-	if checkOK != fullOK {
-		compatVs := absint.VerifyOpts(prog, th.pol, absint.Options{Compat: true}, nil)
-		compatOK := len(compatVs) == 0
-		if compatOK != checkOK {
-			t.Errorf("%s: sfi.Check %v but compat absint %v\ncheck: %v\ncompat: %v",
-				tag(), verdict(checkOK), verdict(compatOK), checkVs, compatVs)
-			return
-		}
-		if checkOK && !fullOK {
-			t.Errorf("%s: sfi.Check accepts but full absint rejects (dominance broken): %v", tag(), fullVs)
-			return
-		}
+	if checkOK && !fullOK {
+		t.Errorf("%s: sfi.Check accepts but absint rejects (containment broken): %v", tag(), fullVs)
 	}
 	if checkOK || fullOK {
 		if esc := th.contained(prog); len(esc) != 0 {

@@ -8,7 +8,6 @@ import (
 // transfer computes the state after executing in from the state before
 // it. Every rule mirrors exactly what the simulator computes for the
 // same opcode; anything not modeled clobbers the destination to top.
-// In Compat mode only the elder verifier's rule shapes produce facts.
 func (v *verifier) transfer(st state, in *target.Inst, i int) state {
 	if in.Op.IsStore() || in.MemDst {
 		return st // stores write no registers
@@ -34,7 +33,6 @@ func (v *verifier) transfer(st state, in *target.Inst, i int) state {
 	}
 	a := st.get(in.Rs1)
 	b := st.get(in.Rs2)
-	compat := v.o.Compat
 	var f fact
 	switch in.Op {
 	case target.Nop, target.Cmp, target.CmpI, target.CmpUI, target.Fcmp:
@@ -48,24 +46,21 @@ func (v *verifier) transfer(st state, in *target.Inst, i int) state {
 
 	case target.Mov:
 		f = a
-		if compat && a.k != konst {
-			f = fact{} // the elder verifier copies constants only
-		}
 
 	case target.AddI, target.Lea:
-		f = v.addImm(a, rd, in)
+		f = addImm(a, in)
 
 	case target.OrI:
-		f = v.orImm(a, rd, in)
+		f = orImm(a, in)
 
 	case target.AndI:
-		f = v.andImm(a, rd, in)
+		f = andImm(a, in)
 
 	case target.And:
-		f = v.andReg(a, b, rd, in)
+		f = andReg(a, b)
 
 	case target.Or:
-		f = v.orReg(a, b, rd, in)
+		f = orReg(a, b)
 
 	case target.Jal, target.Jalr:
 		// The link value is a constant: the simulator writes the
@@ -83,27 +78,11 @@ func (v *verifier) transfer(st state, in *target.Inst, i int) state {
 // uint32 wraparound; intervals and sp-relative displacements shift (a
 // negative lower bound is allowed — the sum un-wraps when the value is
 // later used in address arithmetic, which the store rules bound).
-func (v *verifier) addImm(a fact, rd target.Reg, in *target.Inst) fact {
+func addImm(a fact, in *target.Inst) fact {
 	imm := int64(in.Imm)
-	if a.k == konst {
-		return cst(uint32(a.lo) + uint32(in.Imm))
-	}
-	if v.o.Compat {
-		if rd == in.Rs1 && imm == 0 {
-			return a // identity: the value is unchanged
-		}
-		// Mirror the elder verifier's single guard fold on the sandbox
-		// register: and-masked [0,M] or rebased [B,B+M] shapes shift at
-		// most once within the guard zone (a zero displacement is a
-		// no-op and does not consume the fold).
-		g := int64(v.p.GuardZone)
-		if rd == v.m.SFIAddr && in.Rs1 == v.m.SFIAddr && imm >= -g && imm <= g &&
-			(v.cleanMask(a) || v.cleanBased(a)) {
-			return interval(a.lo+imm, a.hi+imm)
-		}
-		return fact{}
-	}
 	switch a.k {
+	case konst:
+		return cst(uint32(a.lo) + uint32(in.Imm))
 	case ival:
 		return interval(a.lo+imm, a.hi+imm)
 	case spRel:
@@ -113,21 +92,10 @@ func (v *verifier) addImm(a fact, rd target.Reg, in *target.Inst) fact {
 }
 
 // orImm models rd = rs1 | uint32(imm).
-func (v *verifier) orImm(a fact, rd target.Reg, in *target.Inst) fact {
+func orImm(a fact, in *target.Inst) fact {
 	c := int64(uint32(in.Imm))
 	if a.k == konst {
-		if v.o.Compat && rd != in.Rs1 {
-			return fact{} // elder constant tracking needs rd == rs1
-		}
 		return cst(uint32(a.lo) | uint32(in.Imm))
-	}
-	if v.o.Compat {
-		// x86 rebase: or SFIAddr, DataBase on a cleanly masked value.
-		if v.m.Arch == target.X86 && rd == v.m.SFIAddr && in.Rs1 == v.m.SFIAddr &&
-			uint32(in.Imm) == v.p.DataBase && v.cleanMask(a) {
-			return interval(int64(v.p.DataBase), int64(v.p.DataBase)+int64(v.p.DataMask))
-		}
-		return fact{}
 	}
 	// or(x, c) ∈ [max(lo, c), hi+c] for non-negative x: the or cannot
 	// clear bits of either operand and cannot exceed their sum.
@@ -138,7 +106,7 @@ func (v *verifier) orImm(a fact, rd target.Reg, in *target.Inst) fact {
 }
 
 // andImm models rd = rs1 & uint32(imm).
-func (v *verifier) andImm(a fact, rd target.Reg, in *target.Inst) fact {
+func andImm(a fact, in *target.Inst) fact {
 	// Exact folds (mirrored by the elder verifier's constant tracker):
 	// and x, 0 is 0 whatever x holds.
 	if in.Imm == 0 {
@@ -146,19 +114,6 @@ func (v *verifier) andImm(a fact, rd target.Reg, in *target.Inst) fact {
 	}
 	if a.k == konst {
 		return cst(uint32(a.lo) & uint32(in.Imm))
-	}
-	if v.o.Compat {
-		// The elder verifier recognizes the and-immediate masks on x86
-		// only (register-form masks elsewhere).
-		if v.m.Arch == target.X86 && rd == v.m.SFIAddr {
-			if uint32(in.Imm) == v.p.DataMask {
-				return interval(0, int64(v.p.DataMask))
-			}
-			if in.Imm >= 0 && int64(in.Imm) < int64(len(v.prog.OmniToNative)) {
-				return interval(0, int64(in.Imm))
-			}
-		}
-		return fact{}
 	}
 	// and(x, c) ≤ min(x, c) and never negative.
 	ub := int64(-1)
@@ -175,18 +130,7 @@ func (v *verifier) andImm(a fact, rd target.Reg, in *target.Inst) fact {
 }
 
 // andReg models rd = rs1 & rs2.
-func (v *verifier) andReg(a, b fact, rd target.Reg, in *target.Inst) fact {
-	if v.o.Compat {
-		if v.m.Arch != target.X86 && rd == v.m.SFIAddr {
-			if in.Rs2 == v.m.SFIMask && v.maskOK() {
-				return interval(0, int64(v.p.DataMask))
-			}
-			if in.Rs2 == v.m.CodeMask && v.codeOK() {
-				return interval(0, int64(len(v.prog.OmniToNative)-1))
-			}
-		}
-		return fact{}
-	}
+func andReg(a, b fact) fact {
 	if a.k == konst && b.k == konst {
 		return cst(uint32(a.lo) & uint32(b.lo))
 	}
@@ -203,14 +147,7 @@ func (v *verifier) andReg(a, b fact, rd target.Reg, in *target.Inst) fact {
 }
 
 // orReg models rd = rs1 | rs2.
-func (v *verifier) orReg(a, b fact, rd target.Reg, in *target.Inst) fact {
-	if v.o.Compat {
-		if v.m.Arch != target.X86 && rd == v.m.SFIAddr && in.Rs1 == v.m.SFIAddr &&
-			in.Rs2 == v.m.SFIBase && v.baseOK() && v.cleanMask(a) {
-			return interval(int64(v.p.DataBase), int64(v.p.DataBase)+int64(v.p.DataMask))
-		}
-		return fact{}
-	}
+func orReg(a, b fact) fact {
 	if a.k == konst && b.k == konst {
 		return cst(uint32(a.lo) | uint32(b.lo))
 	}
@@ -222,16 +159,6 @@ func (v *verifier) orReg(a, b fact, rd target.Reg, in *target.Inst) fact {
 		return interval(max64(a.lo, b.lo), a.hi+b.hi)
 	}
 	return fact{}
-}
-
-// cleanMask reports the exact and-masked shape [0, DataMask].
-func (v *verifier) cleanMask(f fact) bool {
-	return f.k == ival && f.lo == 0 && f.hi == int64(v.p.DataMask)
-}
-
-// cleanBased reports the exact rebased shape [DataBase, DataBase+DataMask].
-func (v *verifier) cleanBased(f fact) bool {
-	return f.k == ival && f.lo == int64(v.p.DataBase) && f.hi == int64(v.p.DataBase)+int64(v.p.DataMask)
 }
 
 // ---------------------------------------------------------------------
@@ -254,13 +181,7 @@ func (v *verifier) storeOK(st *state, in *target.Inst) bool {
 	}
 	if in.Indexed {
 		// address = rs1 + rs2 (the simulator ignores Imm here).
-		bf, xf := st.get(base), st.get(in.Rs2)
-		if v.o.Compat {
-			// Segment base + masked (possibly one-fold-guarded) index.
-			return base == v.m.SFIBase && v.baseOK() && in.Rs2 == v.m.SFIAddr &&
-				xf.k == ival && xf.hi-xf.lo == M && xf.lo >= -g && xf.lo <= g
-		}
-		lo, hi, ok := numRange(bf, xf)
+		lo, hi, ok := numRange(st.get(base), st.get(in.Rs2))
 		return ok && lo >= B-g && hi <= B+M+g
 	}
 	imm := int64(in.Imm)
@@ -277,21 +198,8 @@ func (v *verifier) storeOK(st *state, in *target.Inst) bool {
 		a := int64(uint32(f.lo) + uint32(in.Imm))
 		return a >= B-g && a <= B+M+g
 	case ival:
-		if v.o.Compat {
-			if base != v.m.SFIAddr {
-				return false
-			}
-			if v.cleanBased(f) {
-				return imm >= -g && imm <= g
-			}
-			// Guard already folded: no further displacement.
-			return imm == 0 && f.lo >= B-g && f.hi <= B+M+g
-		}
 		return f.lo+imm >= B-g && f.hi+imm <= B+M+g
 	case spRel:
-		if v.o.Compat {
-			return false
-		}
 		return f.lo+imm >= -g && f.hi+imm <= g
 	}
 	return false
@@ -307,9 +215,6 @@ func (v *verifier) indirectOK(st *state, in *target.Inst) bool {
 	case konst:
 		return f.lo < nmap
 	case ival:
-		if v.o.Compat && in.Rs1 != v.m.SFIAddr {
-			return false
-		}
 		return f.lo >= 0 && f.hi < nmap
 	}
 	return false
@@ -347,7 +252,7 @@ func (v *verifier) checkReservedWrite(st *state, in *target.Inst, i int, bad fun
 // numRange extracts a plain (non-sp-relative) numeric range from two
 // facts and sums them modulo 2^32: when the whole range wraps (a
 // constant that went through a below-zero guard fold summed with the
-// segment base — found by the exhaustive enumerator as a lost-dominance
+// segment base — found by the exhaustive enumerator as a lost-containment
 // case), it is shifted back exactly. A range that only straddles the
 // wrap point stays unnormalized and fails the window check, which is
 // the sound direction.

@@ -98,7 +98,7 @@ func (a *widenAsm) finish() *target.Program {
 func checkConverges(t *testing.T, th *tharness, prog *target.Program, shape string) {
 	t.Helper()
 	var st absint.Stats
-	if vs := absint.VerifyOpts(prog, th.pol, absint.Options{}, &st); len(vs) != 0 {
+	if vs := absint.VerifyStats(prog, th.pol, &st); len(vs) != 0 {
 		t.Errorf("%s %s: rejected: %v", th.m.Name, shape, vs[0])
 		return
 	}

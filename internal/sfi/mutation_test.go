@@ -128,18 +128,22 @@ func TestMutatedTranslationRejectedByCache(t *testing.T) {
 	opt := translate.Paper(true)
 	si := core.SegInfoFor(mod, core.RunConfig{})
 	for _, m := range target.Machines() {
+		// AdmitKeyed is the road a translation made elsewhere takes in
+		// production, correspondence check included.
+		k := mcache.Key(mod, m, si, opt)
+		retranslate := func() (*target.Program, error) { return translate.Translate(mod, m, si, opt) }
 		for _, mu := range mutators {
 			t.Run(m.Name+"/"+mu.name, func(t *testing.T) {
-				prog, err := translate.Translate(mod, m, si, opt)
+				prog, err := retranslate()
 				if err != nil {
 					t.Fatal(err)
 				}
 				c := mcache.New(0)
 				// The clean translation is admitted.
-				if err := c.Insert(mod, m, si, opt, prog); err != nil {
+				if err := c.AdmitKeyed(k, prog, retranslate); err != nil {
 					t.Fatalf("clean translation rejected: %v", err)
 				}
-				mutated, err := translate.Translate(mod, m, si, opt)
+				mutated, err := retranslate()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -149,7 +153,7 @@ func TestMutatedTranslationRejectedByCache(t *testing.T) {
 					t.Fatal("no mutation site found")
 				}
 				c2 := mcache.New(0)
-				err = c2.Insert(mod, m, si, opt, mutated)
+				err = c2.AdmitKeyed(k, mutated, retranslate)
 				if err == nil {
 					t.Fatal("mutated translation admitted to the cache")
 				}
