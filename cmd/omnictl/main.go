@@ -60,7 +60,7 @@
 // scripts can pipe them into a JSON tool (the CI smoke test does).
 //
 // Exit codes follow the serving convention (serve.ExitOK and
-// friends, shared with omniserve): 0 for a clean outcome; 1 when the
+// friends, shared with omniload): 0 for a clean outcome; 1 when the
 // executed module faulted or failed (contained — the service itself
 // is fine); 2 for infrastructure errors — bad flags, unreachable
 // server, rejected uploads, or a -check run that lost interpreter
@@ -106,9 +106,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "build":
 		return cmdBuild(rest, stdout, stderr)
 	case "upload":
-		return cmdUpload(rest, stdout, stderr)
+		return cmdUpload(false, rest, stdout, stderr)
 	case "exec":
-		return cmdExec(rest, stdout, stderr)
+		return cmdExec(false, rest, stdout, stderr)
 	case "audit":
 		return cmdAudit(rest, stdout, stderr)
 	case "metrics":
@@ -185,20 +185,54 @@ func cmdBuild(args []string, stdout, stderr io.Writer) int {
 	return serve.ExitOK
 }
 
-func cmdUpload(args []string, stdout, stderr io.Writer) int {
-	fs, addr := newFlagSet("upload", stderr)
+// moduleClient is what upload and exec need of a client;
+// netserve.Client (one daemon) and cluster.Client (a module's ring
+// owners first, failing over past dead or shedding members) both have
+// it as they are.
+type moduleClient interface {
+	Upload(blob []byte) (*netserve.UploadResponse, error)
+	Exec(r netserve.ExecRequest) (*netserve.ExecResponse, error)
+}
+
+// moduleFlagSet is the flag set of upload or exec: against one daemon
+// (-addr), or under "omnictl cluster" against a cluster (-addrs). dial
+// builds the client once the flags are parsed.
+func moduleFlagSet(name string, clustered bool, stderr io.Writer) (fs *flag.FlagSet, dial func() (moduleClient, error)) {
+	if !clustered {
+		fs, addr := newFlagSet(name, stderr)
+		return fs, func() (moduleClient, error) { return &netserve.Client{Base: *addr}, nil }
+	}
+	fs, addrs := newClusterFlagSet(name, stderr)
+	return fs, func() (moduleClient, error) {
+		members := splitAddrs(*addrs)
+		if len(members) == 0 {
+			return nil, fmt.Errorf("cluster %s: -addrs is required", name)
+		}
+		cl, err := cluster.NewClient(cluster.ClientConfig{Addrs: members})
+		if err != nil {
+			return nil, err
+		}
+		return cl, nil
+	}
+}
+
+func cmdUpload(clustered bool, args []string, stdout, stderr io.Writer) int {
+	fs, dial := moduleFlagSet("upload", clustered, stderr)
 	if err := fs.Parse(args); err != nil {
 		return serve.ExitInfra
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "omnictl upload: exactly one module file")
+		fmt.Fprintf(stderr, "%s: exactly one module file\n", fs.Name())
 		return serve.ExitInfra
 	}
 	blob, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
 		return fail(stderr, err)
 	}
-	cl := &netserve.Client{Base: *addr}
+	cl, err := dial()
+	if err != nil {
+		return fail(stderr, err)
+	}
 	resp, err := cl.Upload(blob)
 	if err != nil {
 		return fail(stderr, err)
@@ -207,8 +241,8 @@ func cmdUpload(args []string, stdout, stderr io.Writer) int {
 	return serve.ExitOK
 }
 
-func cmdExec(args []string, stdout, stderr io.Writer) int {
-	fs, addr := newFlagSet("exec", stderr)
+func cmdExec(clustered bool, args []string, stdout, stderr io.Writer) int {
+	fs, dial := moduleFlagSet("exec", clustered, stderr)
 	module := fs.String("module", "", "module content hash (from upload)")
 	tgt := fs.String("target", "mips", "target machine (mips|sparc|ppc|x86)")
 	noSFI := fs.Bool("no-sfi", false, "run without software fault isolation")
@@ -219,11 +253,14 @@ func cmdExec(args []string, stdout, stderr io.Writer) int {
 		return serve.ExitInfra
 	}
 	if *module == "" {
-		fmt.Fprintln(stderr, "omnictl exec: -module is required")
+		fmt.Fprintf(stderr, "%s: -module is required\n", fs.Name())
 		return serve.ExitInfra
 	}
+	cl, err := dial()
+	if err != nil {
+		return fail(stderr, err)
+	}
 	sfi := !*noSFI
-	cl := &netserve.Client{Base: *addr}
 	resp, err := cl.Exec(netserve.ExecRequest{
 		Module:     *module,
 		Target:     *tgt,
@@ -486,9 +523,9 @@ func cmdCluster(args []string, stdout, stderr io.Writer) int {
 	case "metrics":
 		return cmdClusterMetrics(rest, stdout, stderr)
 	case "upload":
-		return cmdClusterUpload(rest, stdout, stderr)
+		return cmdUpload(true, rest, stdout, stderr)
 	case "exec":
-		return cmdClusterExec(rest, stdout, stderr)
+		return cmdExec(true, rest, stdout, stderr)
 	default:
 		fmt.Fprintf(stderr, "omnictl cluster: unknown subcommand %q\n", sub)
 		return serve.ExitInfra
@@ -598,81 +635,6 @@ func cmdClusterMetrics(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, err)
 	}
 	printJSON(stdout, sum)
-	return serve.ExitOK
-}
-
-// cmdClusterUpload routes a module to its ring owners (each owner gets
-// a copy) with failover past dead members.
-func cmdClusterUpload(args []string, stdout, stderr io.Writer) int {
-	fs, addrs := newClusterFlagSet("upload", stderr)
-	if err := fs.Parse(args); err != nil {
-		return serve.ExitInfra
-	}
-	members := splitAddrs(*addrs)
-	if len(members) == 0 || fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "omnictl cluster upload: -addrs and exactly one module file are required")
-		return serve.ExitInfra
-	}
-	blob, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		return fail(stderr, err)
-	}
-	cl, err := cluster.NewClient(cluster.ClientConfig{Addrs: members})
-	if err != nil {
-		return fail(stderr, err)
-	}
-	resp, err := cl.Upload(blob)
-	if err != nil {
-		return fail(stderr, err)
-	}
-	printJSON(stdout, resp)
-	return serve.ExitOK
-}
-
-// cmdClusterExec is exec through the hash-routing failover client: the
-// job goes to the module's owners first and fails over past dead or
-// shedding members.
-func cmdClusterExec(args []string, stdout, stderr io.Writer) int {
-	fs, addrs := newClusterFlagSet("exec", stderr)
-	module := fs.String("module", "", "module content hash (from upload)")
-	tgt := fs.String("target", "mips", "target machine (mips|sparc|ppc|x86)")
-	noSFI := fs.Bool("no-sfi", false, "run without software fault isolation")
-	maxSteps := fs.Uint64("max-steps", 0, "instruction budget (0 = server default)")
-	deadlineMs := fs.Int("deadline-ms", 0, "wall-clock deadline (0 = server default)")
-	check := fs.Bool("check", false, "also run the interpreter and verify parity")
-	if err := fs.Parse(args); err != nil {
-		return serve.ExitInfra
-	}
-	members := splitAddrs(*addrs)
-	if len(members) == 0 || *module == "" {
-		fmt.Fprintln(stderr, "omnictl cluster exec: -addrs and -module are required")
-		return serve.ExitInfra
-	}
-	cl, err := cluster.NewClient(cluster.ClientConfig{Addrs: members})
-	if err != nil {
-		return fail(stderr, err)
-	}
-	sfi := !*noSFI
-	resp, err := cl.Exec(netserve.ExecRequest{
-		Module:     *module,
-		Target:     *tgt,
-		SFI:        &sfi,
-		MaxSteps:   *maxSteps,
-		DeadlineMs: *deadlineMs,
-		Check:      *check,
-	})
-	if err != nil {
-		return fail(stderr, err)
-	}
-	printJSON(stdout, resp)
-	switch {
-	case *check && (resp.Parity == nil || !*resp.Parity):
-		// Parity loss is a system failure, never a module failure.
-		fmt.Fprintln(stderr, "omnictl: parity FAILED")
-		return serve.ExitInfra
-	case resp.Status != "ok":
-		return serve.ExitFaults
-	}
 	return serve.ExitOK
 }
 

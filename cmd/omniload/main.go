@@ -2,8 +2,9 @@
 // It fires a deterministic, seeded schedule of module executions at a
 // server over real HTTP — closed-loop (-clients concurrent workers)
 // or open-loop (-rate fixed arrivals/sec) — across a weighted mix of
-// workloads (the four SPEC92-style bench programs plus the trivial
-// "trivload" module) and target machines, then emits a
+// workloads (the four SPEC92-style bench programs, the trivial
+// "trivload" module, and on request "wildload", whose wild load must
+// fault its own jobs and nothing else) and target machines, then emits a
 // schema-versioned JSON report combining client-side latency and
 // outcome counts with before/after deltas of the server's /v1/metrics
 // (so stage quantiles describe this run, not the server's lifetime).
@@ -32,8 +33,12 @@
 // parity loss — the CI gate.
 //
 // Exit codes follow the serving convention: 0 clean, 1 when jobs
-// faulted or errored (contained), 2 for infrastructure failure or an
-// invalid report.
+// faulted or errored (contained), 2 for infrastructure failure, parity
+// loss or an invalid report. The three in one line each:
+//
+//	omniload run -mix li=3,compress=3,alvinn=3,eqntott=3 -check             # 0
+//	omniload run -mix li=3,compress=3,alvinn=3,eqntott=3,wildload=1 -check  # 1
+//	omniload run -mix nosuch                                                # 2
 package main
 
 import (

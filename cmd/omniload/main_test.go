@@ -74,6 +74,55 @@ func TestRunThenValidate(t *testing.T) {
 	}
 }
 
+// The exit-code contract, on the mixes that tell the three codes
+// apart: a clean mix exits 0; one wild module among clean neighbours
+// faults its own jobs and nothing else — every other job ok, every job
+// matching the interpreter, the shared cache still earning its keep —
+// and the run exits 1; a workload nobody can build is an infrastructure
+// failure, exit 2, not a contained fault.
+func TestExitCodes(t *testing.T) {
+	cases := []struct {
+		name, mix string
+		want      int
+	}{
+		{"clean", "trivload", serve.ExitOK},
+		{"wild", "trivload=3,wildload=1", serve.ExitFaults},
+		{"unknown-workload", "nosuch", serve.ExitInfra},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "rep.json")
+			var stdout, stderr bytes.Buffer
+			code := run([]string{"run", "-jobs", "40", "-clients", "4",
+				"-mix", tc.mix, "-check", "-quiet", "-out", out}, &stdout, &stderr)
+			if code != tc.want {
+				t.Fatalf("exit %d, want %d\nstderr: %s", code, tc.want, stderr.String())
+			}
+			if tc.want == serve.ExitInfra {
+				if !strings.Contains(stderr.String(), tc.mix) {
+					t.Errorf("stderr does not name the workload: %s", stderr.String())
+				}
+				return
+			}
+			var rep load.Report
+			if err := json.Unmarshal(readFile(t, out), &rep); err != nil {
+				t.Fatal(err)
+			}
+			l := rep.Load
+			if l.Errors != 0 || l.Parity != 0 || l.Checked != l.Jobs || l.OK+l.Faults != l.Jobs {
+				t.Errorf("outcomes: %+v", l)
+			}
+			if wild := tc.want == serve.ExitFaults; wild != (l.Faults >= 1) {
+				t.Errorf("faults = %d on the %s mix", l.Faults, tc.name)
+			}
+			if l.Faults != rep.Server.FaultsContained || rep.Server.HitRate <= 0.5 {
+				t.Errorf("server: contained=%d of %d faults, hit_rate=%.2f",
+					rep.Server.FaultsContained, l.Faults, rep.Server.HitRate)
+			}
+		})
+	}
+}
+
 func TestBadFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"run", "-mix", "li=x"}, &stdout, &stderr); code != serve.ExitInfra {

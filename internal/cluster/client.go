@@ -63,7 +63,8 @@ func (c *Client) Node(addr string) *netserve.Client {
 }
 
 // Failovers reports how many times this client abandoned one node for
-// the next (dead node, transport error, or persistent shedding).
+// the next (dead node, transport error, or persistent shedding). A
+// failure with no member left to try is an error, not a failover.
 func (c *Client) Failovers() uint64 { return c.failovers.Load() }
 
 // route is the failover order for a module hash: its owners, then
@@ -106,10 +107,15 @@ func (c *Client) Upload(blob []byte) (*netserve.UploadResponse, error) {
 	hash := wire.Hash(blob)
 	var out *netserve.UploadResponse
 	var lastErr error
+	failed := false // the previous member refused; trying another is the failover
 	for i, addr := range c.route(hash) {
 		isOwner := i < c.cfg.Fanout
 		if !isOwner && out != nil {
 			break // owners handled; non-owners only matter if all owners failed
+		}
+		if failed {
+			c.failovers.Add(1)
+			failed = false
 		}
 		resp, err := c.Node(addr).Upload(blob)
 		if err != nil {
@@ -117,7 +123,7 @@ func (c *Client) Upload(blob []byte) (*netserve.UploadResponse, error) {
 				return nil, err
 			}
 			lastErr = err
-			c.failovers.Add(1)
+			failed = true
 			continue
 		}
 		if out == nil {
@@ -135,14 +141,17 @@ func (c *Client) Upload(blob []byte) (*netserve.UploadResponse, error) {
 // serve the job (it peer-fetches the module and peer-fills the
 // translation), so the spill list is every member.
 func (c *Client) Exec(r netserve.ExecRequest) (*netserve.ExecResponse, error) {
-	return c.ExecWithPolicy(r, c.cfg.Retry)
+	return c.ExecRetry(r, c.cfg.Retry)
 }
 
-// ExecWithPolicy is Exec with a per-call shed-retry policy (the load
+// ExecRetry is Exec with a per-call shed-retry policy (the load
 // generator threads its shed accounting through the policy's Sleep).
-func (c *Client) ExecWithPolicy(r netserve.ExecRequest, pol netserve.RetryPolicy) (*netserve.ExecResponse, error) {
+func (c *Client) ExecRetry(r netserve.ExecRequest, pol netserve.RetryPolicy) (*netserve.ExecResponse, error) {
 	var lastErr error
-	for _, addr := range c.route(r.Module) {
+	for i, addr := range c.route(r.Module) {
+		if i > 0 {
+			c.failovers.Add(1) // reached only by abandoning member i-1
+		}
 		resp, err := c.Node(addr).ExecRetry(r, pol)
 		if err == nil {
 			return resp, nil
@@ -151,7 +160,6 @@ func (c *Client) ExecWithPolicy(r netserve.ExecRequest, pol netserve.RetryPolicy
 		if !failoverWorthy(err) {
 			return nil, err
 		}
-		c.failovers.Add(1)
 	}
 	return nil, fmt.Errorf("cluster: exec failed on every member: %w", lastErr)
 }

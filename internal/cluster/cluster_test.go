@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"slices"
 	"strings"
@@ -576,6 +577,28 @@ func TestClientFailover(t *testing.T) {
 	}
 	if d := cl.Failovers() - before; d > 1 {
 		t.Errorf("404 consumed %d failovers, want at most the dead owner's", d)
+	}
+}
+
+// A failover is one member abandoned for another. With a single member
+// there is no other: its death is the caller's error, wrapping the
+// transport failure, and the failover counter stays at zero.
+func TestNoFailoverWithoutAnotherMember(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	cl, err := cluster.NewClient(cluster.ClientConfig{Addrs: []string{dead.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ue *url.Error
+	if _, err := cl.Upload(buildAndEncode(t)); !errors.As(err, &ue) || !strings.Contains(err.Error(), "every member") {
+		t.Errorf("upload to a dead lone member: %v, want the wrapped transport error", err)
+	}
+	if _, err := cl.Exec(netserve.ExecRequest{Module: strings.Repeat("0", 64), Target: "mips"}); !errors.As(err, &ue) || !strings.Contains(err.Error(), "every member") {
+		t.Errorf("exec on a dead lone member: %v, want the wrapped transport error", err)
+	}
+	if n := cl.Failovers(); n != 0 {
+		t.Errorf("%d failovers with no second member to fail over to", n)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // tear it down" — the per-job cost the report's allocs section exists
 // to pin down.
 func MeasureAllocs() ([]AllocStat, error) {
-	mod, err := core.BuildC([]core.SourceFile{{Name: "trivload.c", Src: trivLoadSrc}}, cc.Options{OptLevel: 2})
+	mod, err := core.BuildC([]core.SourceFile{{Name: "trivload.c", Src: builtins[TrivLoad]}}, cc.Options{OptLevel: 2})
 	if err != nil {
 		return nil, fmt.Errorf("load: allocs build: %w", err)
 	}

@@ -13,24 +13,11 @@ import (
 	"omniware/internal/serve/metrics"
 )
 
-// client is the slice of netserve.Client the generator needs; the
-// cluster-aware client satisfies it through clusterClient.
+// client is the slice of a client the generator needs; netserve.Client
+// and the cluster-aware cluster.Client both have it.
 type client interface {
 	Upload(blob []byte) (*netserve.UploadResponse, error)
 	ExecRetry(r netserve.ExecRequest, pol netserve.RetryPolicy) (*netserve.ExecResponse, error)
-}
-
-// clusterClient adapts cluster.Client to the generator's interface.
-type clusterClient struct {
-	cl *cluster.Client
-}
-
-func (c clusterClient) Upload(blob []byte) (*netserve.UploadResponse, error) {
-	return c.cl.Upload(blob)
-}
-
-func (c clusterClient) ExecRetry(r netserve.ExecRequest, pol netserve.RetryPolicy) (*netserve.ExecResponse, error) {
-	return c.cl.ExecWithPolicy(r, pol)
 }
 
 // FleetMetrics snapshots every member and merges (counters sum,

@@ -24,7 +24,18 @@ import (
 // zero-allocation hot path attacks.
 const TrivLoad = "trivload"
 
-const trivLoadSrc = `int main(void) { return 0; }`
+// WildLoad is the deliberately wild workload: SFI sandboxes stores, so
+// an out-of-segment *load* is the fault a sandboxed module can still
+// commit — on the interpreter and on every translated target alike. In
+// a mix it must fault its own jobs and nothing else; it is in no
+// default mix, because a run that holds it exits 1.
+const WildLoad = "wildload"
+
+// builtins are the workloads compiled from an inline source.
+var builtins = map[string]string{
+	TrivLoad: `int main(void) { return 0; }`,
+	WildLoad: `int main(void) { int *p = (int *)0x70000000; return *p; }`,
+}
 
 // Mix is a weighted choice set: name -> weight. Weights need not sum
 // to anything; only ratios matter.
@@ -167,12 +178,12 @@ func Schedule(cfg Config) ([]JobSpec, error) {
 }
 
 // BuildWorkload compiles one workload to its OMW wire blob. TrivLoad
-// is built from an inline source; everything else comes from the
-// bench suite (li, compress, alvinn, eqntott).
+// and WildLoad are built from inline sources; everything else comes
+// from the bench suite (li, compress, alvinn, eqntott).
 func BuildWorkload(name string, scale int) ([]byte, error) {
 	var files []core.SourceFile
-	if name == TrivLoad {
-		files = []core.SourceFile{{Name: "trivload.c", Src: trivLoadSrc}}
+	if src, ok := builtins[name]; ok {
+		files = []core.SourceFile{{Name: name + ".c", Src: src}}
 	} else {
 		var err error
 		files, err = bench.Sources(name, scale)
@@ -217,7 +228,7 @@ func Run(cfg Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		cl = clusterClient{ccl}
+		cl = ccl
 		snapshot = func() (*metrics.Snapshot, error) { return FleetMetrics(cfg.Addrs) }
 	} else {
 		ncl := &netserve.Client{Base: cfg.Addr}

@@ -61,6 +61,52 @@ func TestScheduleRejectsBadMix(t *testing.T) {
 	}
 }
 
+// A mix of nothing but the wild module, on all four targets: every job
+// faults, every fault is contained, and parity still holds — the
+// server's interpreter reference faults too, and a faulting reference
+// matches a faulting run.
+func TestWildLoadContainedWithParity(t *testing.T) {
+	cfg := load.Config{
+		Clients:   4,
+		Jobs:      16,
+		Seed:      7,
+		Workloads: load.Mix{load.WildLoad: 1},
+		Check:     true,
+	}
+	specs, err := load.Schedule(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, s := range specs {
+		targets[s.Target] = true
+	}
+	if len(targets) != 4 {
+		t.Fatalf("schedule reaches %d targets, want all four; pick another seed", len(targets))
+	}
+
+	b, err := load.Boot(load.BootOpts{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	cfg.Addr = b.Base
+	rep, err := load.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := load.Validate(rep); err != nil {
+		t.Fatal(err)
+	}
+	if l := rep.Load; l.Faults != 16 || l.OK != 0 || l.Errors != 0 || l.Checked != 16 || l.Parity != 0 {
+		t.Errorf("outcomes: %+v", l)
+	}
+	if s := rep.Server; s.JobsFailed != 16 || s.FaultsContained != 16 || s.CacheMisses != 4 {
+		t.Errorf("server: failed=%d contained=%d cache_misses=%d, want 16, 16 and one miss per target",
+			s.JobsFailed, s.FaultsContained, s.CacheMisses)
+	}
+}
+
 // One real end-to-end run against an in-process server: the report
 // must validate, round-trip through JSON, and agree with itself
 // across the client and server views.

@@ -27,12 +27,12 @@ type admitSeen struct {
 	AuditCount  uint64
 }
 
-// The three roads into the registry — upload, a batch of one, and peer
-// fill on an exec miss — are one admission path: the same blob under
-// the same audit mode leaves the same registry entry, the same audit
-// counters and the same stage-histogram counts whichever road carried
-// it, a recursive module under enforce is a 422 on every road, and a
-// decode that fails is still a decode the StageDecode histogram saw.
+// The two roads into the registry — upload, and peer fill on an exec
+// miss — are one admission path: the same blob under the same audit
+// mode leaves the same registry entry, the same audit counters and the
+// same stage-histogram counts whichever road carried it, a recursive
+// module under enforce is a 422 on both roads, and a decode that fails
+// is still a decode the StageDecode histogram saw.
 func TestAdmissionIsOnePath(t *testing.T) {
 	chain := buildBlob(t, chainSrc)
 	rec := buildBlob(t, recSrc)
@@ -49,10 +49,6 @@ func TestAdmissionIsOnePath(t *testing.T) {
 			_, err := cl.Upload(blob)
 			return err
 		}},
-		{"batch", func(cl *netserve.Client, _ *fakeHooks, blob []byte, _ string) error {
-			_, err := cl.UploadBatch([][]byte{blob})
-			return err
-		}},
 		{"peerfill", func(cl *netserve.Client, hooks *fakeHooks, blob []byte, hash string) error {
 			hooks.mods[hash] = blob
 			_, err := cl.Exec(netserve.ExecRequest{Module: hash, Target: "mips"})
@@ -63,7 +59,7 @@ func TestAdmissionIsOnePath(t *testing.T) {
 	cases := []struct {
 		name, mode string
 		blob       []byte
-		status     int // 0 = admitted; otherwise every road refuses, upload and batch with this status
+		status     int // 0 = admitted; otherwise both roads refuse, upload with this status
 		want       admitSeen
 	}{
 		{"off/chain", netserve.AuditOff, chain, 0, admitSeen{Registered: true, DecodeCount: 1}},

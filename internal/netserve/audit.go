@@ -1,15 +1,14 @@
 // Admission-time audit gating: every module entering the registry —
-// uploaded directly, batched, or peer-filled on an exec miss — passes
-// through the static-analysis pipeline (internal/audit) before it is
-// registered, and the configured policy decides what a violation
-// means:
+// uploaded, or peer-filled on an exec miss — passes through the
+// static-analysis pipeline (internal/audit) before it is registered,
+// and the configured policy decides what a violation means:
 //
 //	off      analysis only on demand (GET /v1/audit/{hash}); no gate
 //	warn     analyze at admission, log + count violations, admit anyway
 //	enforce  analyze at admission, refuse violating modules with 422
 //
 // The gate sits in front of register() inside Handler.admit, the one
-// function all three roads go through, so a module the policy refuses
+// function both roads go through, so a module the policy refuses
 // is never servable from this node — including the peer-fill road,
 // where a cold node re-derives the audit itself rather than trusting
 // the digest the supplying peer advertises. The report itself is

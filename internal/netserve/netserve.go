@@ -176,7 +176,6 @@ func New(cfg Config) (*Handler, error) {
 	}
 	h.mux = http.NewServeMux()
 	h.mux.HandleFunc("POST /v1/modules", h.handleUpload)
-	h.mux.HandleFunc("POST /v1/modules/batch", h.handleUploadBatch)
 	h.mux.HandleFunc("POST /v1/exec", h.handleExec)
 	h.mux.HandleFunc("GET /v1/audit/{hash}", h.handleAuditGet)
 	h.mux.HandleFunc("GET /v1/metrics", h.handleMetrics)
@@ -291,12 +290,12 @@ func (h *Handler) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, "reading module: %v", err)
 		return
 	}
-	adms, ref := h.admit([][]byte{body}, "", "module")
+	adm, ref := h.admit(body, "", "module")
 	if ref != nil {
 		writeError(w, ref.status, "%v", ref.err)
 		return
 	}
-	writeJSON(w, http.StatusOK, adms[0].response())
+	writeJSON(w, http.StatusOK, adm.response())
 }
 
 // admission is one module that came through admit and is now
@@ -321,51 +320,43 @@ func (a admission) response() UploadResponse {
 	}
 }
 
-// refusal is why admit turned a set of blobs away: which member, the
-// HTTP status a front door answers with (400 for bytes that are not the
-// module they should be, 422 for the audit gate), and the reason.
+// refusal is why admit turned a module away: the HTTP status a front
+// door answers with (400 for bytes that are not the module they should
+// be, 422 for the audit gate), and the reason.
 type refusal struct {
-	member int
 	status int
 	err    error
 }
 
-// admit is the one way a module enters the registry, whatever road its
-// bytes arrived by — upload, batch, or peer fill on an exec miss:
-// canonical decode (every attempt lands in the StageDecode histogram,
-// failed or not), the content-address check when the road names the
-// hash it expects (want; "" when the bytes name themselves), the audit
-// gate with its enforce-mode refusal, then register. It is
-// all-or-nothing: every blob is decoded and audited before any is
-// registered, so one refusal leaves the registry untouched. what names
-// the module's kind in logs and error text.
-func (h *Handler) admit(blobs [][]byte, want, what string) ([]admission, *refusal) {
-	adms := make([]admission, len(blobs))
-	for i, blob := range blobs {
-		start := time.Now()
-		mod, canon, hash, err := decodeCanonical(blob)
-		decodeDur := time.Since(start)
-		h.srv.Metrics().Observe(metrics.StageDecode, decodeDur)
-		if err == nil && want != "" && hash != want {
-			err = fmt.Errorf("content hash is %s, want %s", hash, want)
-		}
-		if err != nil {
-			return nil, &refusal{i, http.StatusBadRequest, err}
-		}
-		out, err := h.runAudit(mod, hash, what+" "+hash)
-		if err == nil && out.rejected {
-			err = fmt.Errorf("audit rejected %s %s: %s", what, hash, violationText(out.violations))
-		}
-		if err != nil {
-			return nil, &refusal{i, http.StatusUnprocessableEntity, err}
-		}
-		adms[i] = admission{hash: hash, out: out,
-			ent: modEntry{mod: mod, blob: canon, decode: decodeDur, audit: out.dur}}
+// admit is the one way a module enters the registry, by either road its
+// bytes arrive — upload, or peer fill on an exec miss: canonical decode
+// (every attempt lands in the StageDecode histogram, failed or not),
+// the content-address check when the road names the hash it expects
+// (want; "" when the bytes name themselves), the audit gate with its
+// enforce-mode refusal, then register. what names the module's kind in
+// logs and error text.
+func (h *Handler) admit(blob []byte, want, what string) (admission, *refusal) {
+	start := time.Now()
+	mod, canon, hash, err := decodeCanonical(blob)
+	decodeDur := time.Since(start)
+	h.srv.Metrics().Observe(metrics.StageDecode, decodeDur)
+	if err == nil && want != "" && hash != want {
+		err = fmt.Errorf("content hash is %s, want %s", hash, want)
 	}
-	for i := range adms {
-		adms[i].existed = h.register(adms[i].ent, adms[i].hash)
+	if err != nil {
+		return admission{}, &refusal{http.StatusBadRequest, err}
 	}
-	return adms, nil
+	out, err := h.runAudit(mod, hash, what+" "+hash)
+	if err == nil && out.rejected {
+		err = fmt.Errorf("audit rejected %s %s: %s", what, hash, violationText(out.violations))
+	}
+	if err != nil {
+		return admission{}, &refusal{http.StatusUnprocessableEntity, err}
+	}
+	adm := admission{hash: hash, out: out,
+		ent: modEntry{mod: mod, blob: canon, decode: decodeDur, audit: out.dur}}
+	adm.existed = h.register(adm.ent, hash)
+	return adm, nil
 }
 
 // decodeCanonical decodes an OMW blob strictly and returns the module

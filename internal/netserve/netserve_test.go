@@ -1,7 +1,10 @@
 package netserve_test
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -395,6 +398,32 @@ func TestModuleRegistryBounded(t *testing.T) {
 		if err != nil || res.Exit != int32(i+2) {
 			t.Fatalf("retained module %d: %+v err=%v", i+1, res, err)
 		}
+	}
+}
+
+// The upload size limit binds on the one upload route there is: a body
+// a byte over MaxModuleBytes is a 413 that registers nothing, and no
+// second route takes it instead.
+func TestUploadSizeLimit(t *testing.T) {
+	blob := buildBlob(t, `int main(void){ return 3; }`)
+	cl, _, _ := startServer(t, serve.Config{Workers: 1},
+		netserve.Config{MaxModuleBytes: int64(len(blob)) - 1})
+	_, err := cl.Upload(blob)
+	var se *netserve.StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized upload: %v, want a 413", err)
+	}
+	_, err = cl.Exec(netserve.ExecRequest{Module: wire.Hash(blob), Target: "mips"})
+	if !errors.As(err, &se) || se.Code != http.StatusNotFound {
+		t.Fatalf("exec after refused upload: %v, want a 404", err)
+	}
+	resp, err := http.Post(cl.Base+"/v1/modules/batch", "application/octet-stream", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/modules/batch: status %d, want 404", resp.StatusCode)
 	}
 }
 

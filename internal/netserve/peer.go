@@ -1,7 +1,6 @@
 // Cluster-facing HTTP surface: the /v1/peer/* endpoints a node serves
-// to its cluster peers, the batch upload endpoint, and the client
-// helpers that speak them. The peer protocol is deliberately
-// trust-free in both directions:
+// to its cluster peers, and the client helpers that speak them. The
+// peer protocol is deliberately trust-free in both directions:
 //
 //   - Module fetch is content-addressed — the receiver re-encodes
 //     canonically and checks the hash, so a peer cannot substitute a
@@ -321,7 +320,7 @@ func (h *Handler) fetchModuleViaPeers(hash string, org mcache.PeerOrigin) (modEn
 	if !ok {
 		return modEntry{}, nil, "", nil
 	}
-	adms, ref := h.admit([][]byte{blob}, hash, "peer-filled module")
+	adm, ref := h.admit(blob, hash, "peer-filled module")
 	if ref != nil {
 		h.cfg.Logf("netserve: peer module fetch for %s from %s refused: %v", hash, peer, ref.err)
 		if ref.status == http.StatusUnprocessableEntity {
@@ -329,7 +328,7 @@ func (h *Handler) fetchModuleViaPeers(hash string, org mcache.PeerOrigin) (modEn
 		}
 		return modEntry{}, nil, "", nil
 	}
-	if rep := adms[0].out.rep; rep != nil && peerDigest != "" && peerDigest != rep.Digest() {
+	if rep := adm.out.rep; rep != nil && peerDigest != "" && peerDigest != rep.Digest() {
 		// The peer's advertised digest disagrees with the local
 		// derivation. The local report is the authority (it gated the
 		// admission above); the divergence is worth an operator's eye —
@@ -337,63 +336,7 @@ func (h *Handler) fetchModuleViaPeers(hash string, org mcache.PeerOrigin) (modEn
 		h.cfg.Logf("netserve: peer %s advertised audit digest %s for %s; local derivation is %s",
 			peer, peerDigest, hash, rep.Digest())
 	}
-	return adms[0].ent, remote, peer, nil
-}
-
-// BatchUploadResponse lists the per-member results of a batch upload,
-// in batch order.
-type BatchUploadResponse struct {
-	Modules []UploadResponse `json:"modules"`
-}
-
-// handleUploadBatch accepts one OMB frame holding several OMW modules.
-// All-or-nothing (admit's contract): every member must decode and pass
-// the audit gate before any is registered, so a half-good batch does
-// not leave the registry in a state the client has to reverse-engineer
-// from partial errors; the refusal names the member.
-func (h *Handler) handleUploadBatch(w http.ResponseWriter, r *http.Request) {
-	if !h.gate(w, r) {
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxBatchBytes))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "reading batch: %v", err)
-		return
-	}
-	blobs, err := wire.DecodeBatch(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "decoding batch: %v", err)
-		return
-	}
-	adms, ref := h.admit(blobs, "", "module")
-	if ref != nil {
-		writeError(w, ref.status, "batch member %d: %v", ref.member, ref.err)
-		return
-	}
-	resp := BatchUploadResponse{Modules: make([]UploadResponse, len(adms))}
-	for i, a := range adms {
-		resp.Modules[i] = a.response()
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// UploadBatch frames blobs as one OMB request and uploads them in a
-// single round trip.
-func (c *Client) UploadBatch(blobs [][]byte) (*BatchUploadResponse, error) {
-	frame, err := wire.EncodeBatch(blobs)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequest(http.MethodPost, c.Base+"/v1/modules/batch", bytes.NewReader(frame))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	var out BatchUploadResponse
-	if err := c.do(req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return adm.ent, remote, peer, nil
 }
 
 // PeerModule fetches a module's canonical OMW bytes from a peer,

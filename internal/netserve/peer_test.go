@@ -33,59 +33,6 @@ func (f *fakeHooks) Members() []string { return nil }
 // trace propagation.
 var noOrg mcache.PeerOrigin
 
-func TestUploadBatch(t *testing.T) {
-	cl, _, _ := startServer(t, serve.Config{Workers: 2}, netserve.Config{})
-	blobs := [][]byte{
-		buildBlob(t, `int main(void){ return 11; }`),
-		buildBlob(t, `int main(void){ return 22; }`),
-		buildBlob(t, `int main(void){ return 33; }`),
-	}
-	resp, err := cl.UploadBatch(blobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Modules) != 3 {
-		t.Fatalf("batch response %+v", resp)
-	}
-	for i, m := range resp.Modules {
-		if m.Hash != wire.Hash(blobs[i]) {
-			t.Errorf("member %d hash %q, want %q", i, m.Hash, wire.Hash(blobs[i]))
-		}
-		if m.Replaced {
-			t.Errorf("member %d reported Replaced on first upload", i)
-		}
-	}
-	// Every member is immediately runnable.
-	res, err := cl.Exec(netserve.ExecRequest{Module: resp.Modules[1].Hash, Target: "mips"})
-	if err != nil || res.Exit != 22 {
-		t.Fatalf("exec of batch member: %+v, %v", res, err)
-	}
-}
-
-// A batch with one bad member registers nothing: the client retries
-// the whole frame rather than diffing partial state.
-func TestUploadBatchAllOrNothing(t *testing.T) {
-	cl, _, _ := startServer(t, serve.Config{Workers: 1}, netserve.Config{})
-	good := buildBlob(t, `int main(void){ return 5; }`)
-	bad := append([]byte(nil), buildBlob(t, `int main(void){ return 6; }`)...)
-	bad[len(bad)-1] ^= 0x40 // corrupt a section, frame still splits
-	frame, err := wire.EncodeBatch([][]byte{good, bad})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.DecodeBatch(frame); err != nil {
-		t.Fatalf("test batch must split cleanly: %v", err)
-	}
-	if _, err := cl.UploadBatch([][]byte{good, bad}); err == nil {
-		t.Fatal("half-bad batch accepted")
-	}
-	// The good member must not have been registered.
-	_, err = cl.Exec(netserve.ExecRequest{Module: wire.Hash(good), Target: "mips"})
-	if err == nil || !strings.Contains(err.Error(), "not uploaded") {
-		t.Fatalf("good member registered despite batch failure: %v", err)
-	}
-}
-
 // The peer read endpoints: module by content address, translation as
 // an OPF frame bound to its full cache key, both disabled outside
 // cluster mode.

@@ -2,7 +2,7 @@
 // histograms and per-target instruction-attribution counters. The
 // hot-path updates are lock-free atomics; Snapshot produces a
 // consistent-enough copy for reporting, Text renders it in a fixed
-// order for logs and the omniserve summary, and Prom (prom.go) renders
+// order for logs and `omnictl metrics -text`, and Prom (prom.go) renders
 // the Prometheus text exposition format for scrapers.
 package metrics
 

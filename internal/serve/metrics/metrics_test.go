@@ -59,7 +59,7 @@ func TestHitRate(t *testing.T) {
 }
 
 // Text is a stable machine-greppable format: fixed order, fixed
-// padding. Tools (and the omniserve smoke tests) match on exact
+// padding. Tools (and the CI smoke scripts) match on exact
 // lines, so lock the format down. The counter block is followed by
 // optional stage and per-target attribution lines.
 func TestTextFormat(t *testing.T) {

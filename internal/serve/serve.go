@@ -54,11 +54,6 @@ type Job struct {
 	// left in its address space (the docscript pattern).
 	Post func(h *core.Host) (string, error)
 
-	// HostData/HostBase pass through to core.RunConfig (a read-only
-	// host segment for fault-injection scenarios).
-	HostData []byte
-	HostBase uint32
-
 	// Decode, when nonzero, is the wire-decode cost already paid for
 	// this module (at upload, in the network layer). It is attached to
 	// the job trace as a backdated "decode" span so the rendered tree
@@ -133,7 +128,7 @@ type task struct {
 // server refused it without running anything.
 var ErrClosed = errors.New("serve: server closed")
 
-// Process exit codes shared by the serving CLIs (omniserve, omnictl):
+// Process exit codes shared by the serving CLIs (omnictl, omniload):
 // clean, "the service worked but some jobs faulted (contained)", and
 // "the infrastructure itself failed or was misused". Parity
 // mismatches count as infrastructure failures — they mean the system,
@@ -141,11 +136,11 @@ var ErrClosed = errors.New("serve: server closed")
 const (
 	ExitOK     = 0 // every job ran cleanly
 	ExitFaults = 1 // some jobs faulted or failed; every fault contained
-	ExitInfra  = 2 // manifest/flag/build/network errors, or parity loss
+	ExitInfra  = 2 // flag/build/network errors, or parity loss
 )
 
 // Server is a running worker pool. Create with New, feed with Submit
-// or Run, stop with Close.
+// or TrySubmit, stop with Close.
 type Server struct {
 	cache  *mcache.Cache
 	met    *metrics.Metrics
@@ -255,19 +250,6 @@ func (s *Server) TrySubmit(j Job) (<-chan Result, bool) {
 	default:
 		return nil, false
 	}
-}
-
-// Run submits jobs and returns their results in input order.
-func (s *Server) Run(jobs []Job) []Result {
-	chans := make([]<-chan Result, len(jobs))
-	for i, j := range jobs {
-		chans[i] = s.Submit(j)
-	}
-	out := make([]Result, len(jobs))
-	for i, ch := range chans {
-		out[i] = <-ch
-	}
-	return out
 }
 
 // Close stops accepting jobs and waits for queued and in-flight ones
@@ -423,8 +405,6 @@ func (s *Server) execute(j Job, tr *trace.Trace) (r Result) {
 		Stack:     j.Stack,
 		MaxSteps:  j.MaxSteps,
 		Interrupt: &stop,
-		HostData:  j.HostData,
-		HostBase:  j.HostBase,
 	})
 	lsp.End()
 	if err != nil {

@@ -22,6 +22,19 @@ func buildMod(t *testing.T, src string) *ovm.Module {
 	return mod
 }
 
+// runAll submits jobs and returns their results in input order.
+func runAll(s *serve.Server, jobs ...serve.Job) []serve.Result {
+	chans := make([]<-chan serve.Result, len(jobs))
+	for i, j := range jobs {
+		chans[i] = s.Submit(j)
+	}
+	out := make([]serve.Result, len(jobs))
+	for i, ch := range chans {
+		out[i] = <-ch
+	}
+	return out
+}
+
 const goodSrc = `
 int main(void) {
 	int i, acc = 0;
@@ -78,11 +91,11 @@ func TestFaultContainment(t *testing.T) {
 	defer s.Close()
 
 	m := target.X86Machine()
-	results := s.Run([]serve.Job{
-		{ID: "good-1", Mod: good, Machine: m, Opt: translate.Paper(true)},
-		{ID: "evil", Mod: evil, Machine: m, Opt: translate.Paper(true)},
-		{ID: "good-2", Mod: good, Machine: m, Opt: translate.Paper(true)},
-	})
+	results := runAll(s,
+		serve.Job{ID: "good-1", Mod: good, Machine: m, Opt: translate.Paper(true)},
+		serve.Job{ID: "evil", Mod: evil, Machine: m, Opt: translate.Paper(true)},
+		serve.Job{ID: "good-2", Mod: good, Machine: m, Opt: translate.Paper(true)},
+	)
 	if results[0].Err != nil || results[0].Faulted || results[2].Err != nil || results[2].Faulted {
 		t.Errorf("good jobs disturbed: %+v %+v", results[0], results[2])
 	}
@@ -102,10 +115,10 @@ func TestBudgetExhaustionFailsOnlyItsJob(t *testing.T) {
 	defer s.Close()
 
 	m := target.SPARCMachine()
-	results := s.Run([]serve.Job{
-		{ID: "spin", Mod: spin, Machine: m, Opt: translate.Paper(true), MaxSteps: 10_000},
-		{ID: "good", Mod: good, Machine: m, Opt: translate.Paper(true)},
-	})
+	results := runAll(s,
+		serve.Job{ID: "spin", Mod: spin, Machine: m, Opt: translate.Paper(true), MaxSteps: 10_000},
+		serve.Job{ID: "good", Mod: good, Machine: m, Opt: translate.Paper(true)},
+	)
 	if results[0].Err == nil || !strings.Contains(results[0].Err.Error(), "budget") {
 		t.Errorf("spin job not stopped by budget: %+v", results[0])
 	}

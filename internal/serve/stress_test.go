@@ -87,7 +87,7 @@ func TestConcurrentWorkloadParity(t *testing.T) {
 		})
 	}
 
-	results := s.Run(jobs)
+	results := runAll(s, jobs...)
 	for _, r := range results {
 		ref, clean := want[r.ID]
 		if !clean {
