@@ -3,10 +3,11 @@ package main
 import (
 	"encoding/json"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
-	"omniware/internal/load"
+	"omniware/internal/serve/metrics"
 )
 
 // bench observes whatever ran inside its window: boot a server, run
@@ -46,25 +47,27 @@ func TestBenchSubcommand(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("bench exit %d: %s", code, stderr)
 	}
-	for _, want := range []string{"window 3s", "server", "stage run"} {
+	for _, want := range []string{"window 3s", "cache_hit_rate", "stage_run"} {
 		if !strings.Contains(stdout, want) {
 			t.Fatalf("bench output missing %q:\n%s", want, stdout)
 		}
 	}
-	if !strings.Contains(stdout, "run=2 ") {
+	if !regexp.MustCompile(`(?m)^jobs_run +2$`).MatchString(stdout) {
 		t.Fatalf("window did not isolate the 2 in-window jobs:\n%s", stdout)
 	}
 
-	// -json emits the machine form: a load.ServerDelta.
+	// -json emits the machine form: the interval as a metrics.Snapshot.
 	code, stdout, stderr = runCtl(t, "bench", "-addr", addr, "-duration", "1ms", "-json")
 	if code != 0 {
 		t.Fatalf("bench -json exit %d: %s", code, stderr)
 	}
-	var d load.ServerDelta
-	if err := json.Unmarshal([]byte(stdout), &d); err != nil {
-		t.Fatalf("bench -json output not a ServerDelta: %v\n%s", err, stdout)
+	var iv metrics.Snapshot
+	dec := json.NewDecoder(strings.NewReader(stdout))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&iv); err != nil {
+		t.Fatalf("bench -json output not a metrics.Snapshot: %v\n%s", err, stdout)
 	}
-	if d.JobsRun != 0 {
-		t.Fatalf("empty window counted %d jobs", d.JobsRun)
+	if iv.JobsRun != 0 || iv.Stages["run"].Count != 0 {
+		t.Fatalf("empty window counted %d jobs, %d runs", iv.JobsRun, iv.Stages["run"].Count)
 	}
 }

@@ -29,10 +29,11 @@
 // bench is the observation side of a load run: it snapshots the
 // daemon's metrics, waits for the window (during which omniload — or
 // anything else — drives the server), snapshots again, and prints the
-// interval delta in the same format omniload uses for its reports:
-// jobs run, cache hit rate over the window, sandbox-overhead
-// percentage, and per-stage latency quantiles computed from histogram
-// bucket deltas, not lifetime aggregates.
+// interval in the layout `metrics -text` uses for the lifetime (or,
+// with -json, the layout of /v1/metrics): jobs run, cache hit rate
+// over the window, per-target sandbox overhead, and per-stage latency
+// quantiles computed from histogram bucket differences, not lifetime
+// aggregates.
 //
 // audit fetches the daemon's static-analysis report for an uploaded
 // module — worst-case stack depth (or the recursion cycle that defeats
@@ -379,13 +380,13 @@ func cmdMetrics(args []string, stdout, stderr io.Writer) int {
 }
 
 // cmdBench brackets an observation window with two metrics snapshots
-// and prints the server-side delta. The subtraction, quantile
-// computation and rendering are the load package's — a bench window
+// and prints the interval between them. The subtraction, quantile
+// computation and rendering are metrics.Snapshot's — a bench window
 // and an omniload report describe the same interval the same way.
 func cmdBench(args []string, stdout, stderr io.Writer) int {
 	fs, addr := newFlagSet("bench", stderr)
 	dur := fs.Duration("duration", 10*time.Second, "observation window")
-	raw := fs.Bool("json", false, "print the delta as JSON instead of text")
+	raw := fs.Bool("json", false, "print the interval as JSON instead of text")
 	if err := fs.Parse(args); err != nil {
 		return serve.ExitInfra
 	}
@@ -400,12 +401,12 @@ func cmdBench(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
-	d := load.Delta(*before, *after)
+	iv := after.Sub(*before)
 	if *raw {
-		printJSON(stdout, d)
+		printJSON(stdout, iv)
 		return serve.ExitOK
 	}
-	fmt.Fprintf(stdout, "window %s\n%s", *dur, load.FormatServer(d))
+	fmt.Fprintf(stdout, "window %s\n%s", *dur, iv.Text())
 	return serve.ExitOK
 }
 

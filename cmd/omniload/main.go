@@ -1,13 +1,13 @@
-// omniload is the load generator and benchmark driver for omniserved.
-// It fires a deterministic, seeded schedule of module executions at a
-// server over real HTTP — closed-loop (-clients concurrent workers)
-// or open-loop (-rate fixed arrivals/sec) — across a weighted mix of
-// workloads (the four SPEC92-style bench programs, the trivial
-// "trivload" module, and on request "wildload", whose wild load must
-// fault its own jobs and nothing else) and target machines, then emits a
-// schema-versioned JSON report combining client-side latency and
-// outcome counts with before/after deltas of the server's /v1/metrics
-// (so stage quantiles describe this run, not the server's lifetime).
+// omniload is the load driver for omniserved. It fires a
+// deterministic, seeded schedule of module executions at a server over
+// real HTTP — closed-loop (-clients concurrent workers) or open-loop
+// (-rate fixed arrivals/sec) — across a weighted mix of workloads (the
+// four SPEC92-style bench programs, the trivial "trivload" module, and
+// on request "wildload", whose wild load must fault its own jobs and
+// nothing else) and target machines, then emits a JSON report: the
+// client-side latency and outcome counts, and the server's /v1/metrics
+// over the run's interval (after minus before, so stage quantiles
+// describe this run, not the server's lifetime).
 //
 // Usage:
 //
@@ -15,26 +15,23 @@
 //	             [-mode closed|open] [-jobs N] [-seed N]
 //	             [-clients N] [-rate R] [-mix W=w,...] [-targets T=w,...]
 //	             [-scale N] [-deadline-ms N] [-prewarm] [-check] [-no-sfi]
-//	             [-audit off|warn|enforce]
-//	             [-allocs] [-out BENCH.json] [-quiet]
-//	omniload validate [-strict] BENCH.json
+//	             [-workers N] [-queue N] [-out report.json] [-quiet]
 //
 // Without -addr, run boots an in-process omniserved on a loopback
-// port and drives that — the hermetic mode the checked-in BENCH_*.json
-// artifacts and the CI smoke job use. With -addr it drives a live
-// daemon. -addrs drives a running cluster through the hash-routing
-// failover client and sums every member's metrics for the server
-// delta; -cluster N boots an in-process N-node cluster first (the
-// hermetic mode behind BENCH_2.json). -allocs additionally runs the host-lifecycle allocation
-// benchmarks (testing.Benchmark in-process) and embeds allocs/op.
+// port and drives that — the hermetic mode the CI smoke job uses. With
+// -addr it drives a live daemon. -addrs drives a running cluster
+// through the hash-routing failover client and sums every member's
+// metrics for the server interval; -cluster N boots an in-process
+// N-node cluster first.
 //
-// validate re-checks an emitted report's schema and internal
-// consistency; -strict additionally fails on any fault, error, or
-// parity loss — the CI gate.
+// omniload is a driver, not the measuring instrument: a performance
+// claim is a pair of `bash benchmark/run.sh` reports put through its
+// `compare`.
 //
 // Exit codes follow the serving convention: 0 clean, 1 when jobs
-// faulted or errored (contained), 2 for infrastructure failure, parity
-// loss or an invalid report. The three in one line each:
+// faulted or errored (contained), 2 for infrastructure failure, a bad
+// flag value, parity loss or a report that fails its own consistency
+// check. The three in one line each:
 //
 //	omniload run -mix li=3,compress=3,alvinn=3,eqntott=3 -check             # 0
 //	omniload run -mix li=3,compress=3,alvinn=3,eqntott=3,wildload=1 -check  # 1
@@ -52,7 +49,6 @@ import (
 	"time"
 
 	"omniware/internal/load"
-	"omniware/internal/netserve"
 	"omniware/internal/serve"
 )
 
@@ -61,7 +57,7 @@ func main() {
 }
 
 func usage(stderr io.Writer) int {
-	fmt.Fprintln(stderr, "usage: omniload {run|validate} [flags]")
+	fmt.Fprintln(stderr, "usage: omniload run [flags]")
 	return serve.ExitInfra
 }
 
@@ -74,8 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch cmd {
 	case "run":
 		return cmdRun(rest, stdout, stderr)
-	case "validate":
-		return cmdValidate(rest, stdout, stderr)
 	default:
 		fmt.Fprintf(stderr, "omniload: unknown command %q\n", cmd)
 		return usage(stderr)
@@ -134,12 +128,9 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	prewarm := fs.Bool("prewarm", false, "run one untimed job per (workload,target) pair first")
 	check := fs.Bool("check", false, "interpreter parity check on every job")
 	noSFI := fs.Bool("no-sfi", false, "run unsandboxed")
-	allocs := fs.Bool("allocs", false, "also run the host-lifecycle allocation benchmarks")
-	out := fs.String("out", "", "write the JSON report here (e.g. BENCH_0.json)")
+	out := fs.String("out", "", "write the JSON report here")
 	workers := fs.Int("workers", 0, "in-process server workers (0 = GOMAXPROCS)")
 	queueCap := fs.Int("queue", 0, "in-process server admission queue cap (0 = default)")
-	auditMode := fs.String("audit", netserve.AuditOff,
-		"in-process server admission audit: off, warn or enforce (warn measures audit-on overhead without gating)")
 	quiet := fs.Bool("quiet", false, "suppress the human-readable summary")
 	if err := fs.Parse(args); err != nil {
 		return serve.ExitInfra
@@ -184,14 +175,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 		Prewarm:    *prewarm,
 		Check:      *check,
 	}
-	if *auditMode != netserve.AuditOff {
-		cfg.Audit = *auditMode
-	}
-	bootOpts := load.BootOpts{
-		Workers:  *workers,
-		QueueCap: *queueCap,
-		Audit:    netserve.AuditConfig{Mode: *auditMode},
-	}
+	bootOpts := load.BootOpts{Workers: *workers, QueueCap: *queueCap}
 	switch {
 	case *clusterN > 0:
 		b, err := load.BootCluster(*clusterN, bootOpts)
@@ -217,16 +201,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, err)
 	}
-	if *allocs {
-		stats, err := load.MeasureAllocs()
-		if err != nil {
-			return fail(stderr, err)
-		}
-		rep.Allocs = stats
-	}
-	if err := load.Validate(rep); err != nil {
-		return fail(stderr, err)
-	}
 	if *out != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -249,41 +223,5 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if rep.Load.Faults > 0 || rep.Load.Errors > 0 {
 		return serve.ExitFaults
 	}
-	return serve.ExitOK
-}
-
-func cmdValidate(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("omniload validate", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	strict := fs.Bool("strict", false, "also fail on any fault, error, or parity loss")
-	if err := fs.Parse(args); err != nil {
-		return serve.ExitInfra
-	}
-	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "omniload validate: exactly one report file")
-		return serve.ExitInfra
-	}
-	data, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		return fail(stderr, err)
-	}
-	var rep load.Report
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rep); err != nil {
-		return fail(stderr, fmt.Errorf("%s: %w", fs.Arg(0), err))
-	}
-	if err := load.Validate(&rep); err != nil {
-		return fail(stderr, fmt.Errorf("%s: %w", fs.Arg(0), err))
-	}
-	if *strict {
-		if rep.Load.Faults > 0 || rep.Load.Errors > 0 || rep.Load.Parity > 0 {
-			fmt.Fprintf(stderr, "omniload: %s: strict: faults=%d errors=%d parity_failures=%d\n",
-				fs.Arg(0), rep.Load.Faults, rep.Load.Errors, rep.Load.Parity)
-			return serve.ExitFaults
-		}
-	}
-	fmt.Fprintf(stdout, "%s: valid (%s, %d jobs, %.1f jobs/sec)\n",
-		fs.Arg(0), rep.Schema, rep.Load.Jobs, rep.Load.JobsPerSec)
 	return serve.ExitOK
 }

@@ -27,9 +27,7 @@ type BootConfig struct {
 	Rate           float64       // per-client rate limit (0 = netserve default)
 	Burst          float64       // per-client burst allowance
 	Verify         mcache.VerifyMode
-	// Audit is every node's admission-gate policy (zero value = off).
-	Audit netserve.AuditConfig
-	Logf  func(format string, args ...any)
+	Logf           func(format string, args ...any)
 }
 
 // Node is one member of an in-process cluster.
@@ -149,7 +147,6 @@ func BootLocal(cfg BootConfig) (*Local, error) {
 			PeerAuth: secret,
 			Rate:     cfg.Rate,
 			Burst:    cfg.Burst,
-			Audit:    cfg.Audit,
 			Logf:     cfg.Logf,
 		})
 		if err != nil {

@@ -111,7 +111,7 @@ int main(void) {
 
 // The warm-cache serving path — acquire a pooled host, run a cached
 // translation, release — must not allocate at all. This is the
-// regression guard behind BENCH_*.json's exec_pooled_host stat; any
+// regression guard behind omnimark's exact core.exec_allocs_per_op; any
 // new allocation on this path shows up here before it shows up in a
 // benchmark run.
 func TestPooledExecAllocFree(t *testing.T) {

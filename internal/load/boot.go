@@ -11,7 +11,7 @@ import (
 
 // Booted is an in-process omniserved instance on a loopback listener.
 // omniload boots one when not pointed at an external server, so a
-// benchmark run is still exercising the real HTTP stack — wire
+// hermetic run is still exercising the real HTTP stack — wire
 // decode, routing, JSON — not a shortcut into the worker pool.
 type Booted struct {
 	Base    string
@@ -27,11 +27,7 @@ type Booted struct {
 type BootOpts struct {
 	Workers  int
 	QueueCap int
-	// Audit is the admission-gate policy every booted node runs with
-	// (zero value = off) — how a load run measures audit-on admission
-	// overhead against the same workload.
-	Audit netserve.AuditConfig
-	Logf  func(format string, args ...any)
+	Logf     func(format string, args ...any)
 }
 
 // Boot starts the instance. The per-client rate limiter is opened
@@ -46,7 +42,6 @@ func Boot(opts BootOpts) (*Booted, error) {
 		Server: pool,
 		Rate:   1e9,
 		Burst:  1e9,
-		Audit:  opts.Audit,
 		Logf:   opts.Logf,
 	})
 	if err != nil {

@@ -1,6 +1,6 @@
 // Cluster-mode load generation: omniload can drive a set of
 // omniserved cluster members through the hash-routing failover client
-// instead of a single node. The server-side delta then comes from
+// instead of a single node. The server-side interval then comes from
 // summing every member's metrics snapshot before and after the run —
 // cluster throughput is the fleet's, not one node's.
 package load
@@ -23,7 +23,7 @@ type client interface {
 // FleetMetrics snapshots every member and merges (counters sum,
 // histogram buckets add, quantiles recomputed from merged buckets, the
 // cluster sections fold peer-wise) — the fleet-wide view the
-// cluster-mode server delta (and omnictl cluster metrics) uses. The
+// cluster-mode server interval (and omnictl cluster metrics) uses. The
 // bucket arithmetic lives in metrics.MergeSnapshots, the same fold the
 // /v1/cluster/metrics fan-out uses, so the two views can never
 // disagree.
@@ -43,8 +43,8 @@ func FleetMetrics(addrs []string) (*metrics.Snapshot, error) {
 	return &sum, nil
 }
 
-// BootedCluster is an in-process cluster for hermetic cluster
-// benchmarks, the counterpart of Boot for -cluster runs.
+// BootedCluster is an in-process cluster for hermetic cluster runs,
+// the counterpart of Boot for -cluster.
 type BootedCluster struct {
 	Addrs []string
 	local *cluster.Local
@@ -63,7 +63,6 @@ func BootCluster(n int, opts BootOpts) (*BootedCluster, error) {
 		QueueCap: opts.QueueCap,
 		Rate:     1e9,
 		Burst:    1e9,
-		Audit:    opts.Audit,
 		Logf:     opts.Logf,
 	})
 	if err != nil {

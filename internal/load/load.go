@@ -14,6 +14,7 @@ import (
 	"omniware/internal/core"
 	"omniware/internal/netserve"
 	"omniware/internal/serve/metrics"
+	"omniware/internal/target"
 	"omniware/internal/trace"
 	"omniware/internal/wire"
 )
@@ -47,7 +48,7 @@ type Config struct {
 
 	// Addrs switches the generator into cluster mode: requests are
 	// hash-routed across these members with failover, and the server
-	// delta sums every member's metrics.
+	// interval sums every member's metrics.
 	Addrs []string
 
 	Mode    string  // "closed" (default) or "open"
@@ -64,11 +65,6 @@ type Config struct {
 	DeadlineMs int  // per-request deadline (default 10000)
 	Prewarm    bool // run one untimed job per distinct (workload, target) first
 	Check      bool // interpreter parity check on every job (CI smoke)
-
-	// Audit records the server's admission-gate mode in the report's
-	// config section ("" when off). Informational: the gate itself is
-	// a server-side setting (BootOpts.Audit for in-process boots).
-	Audit string
 
 	RetryMax   int           // retry budget per job on 429/503 (default 16)
 	RetryDelay time.Duration // backoff cap (default 250ms; server hint honored below it)
@@ -157,8 +153,8 @@ func (p *picker) pick(r *rand.Rand) string {
 }
 
 // Schedule expands a config into its deterministic job sequence. The
-// same (seed, jobs, mixes) always produce the same sequence — the
-// property that makes before/after BENCH comparisons meaningful.
+// same (seed, jobs, mixes) always produce the same sequence, so two
+// runs of one command line offer the server the same work.
 func Schedule(cfg Config) ([]JobSpec, error) {
 	cfg = cfg.withDefaults()
 	wp, err := newPicker(cfg.Workloads)
@@ -208,13 +204,28 @@ type runStats struct {
 }
 
 // Run executes one load run against cfg.Addr and assembles the
-// report: compile and upload the workload mix, snapshot /v1/metrics,
-// optionally prewarm the translation cache, fire the schedule, and
-// snapshot again.
+// report: check the configuration, compile and upload the workload
+// mix, optionally prewarm the translation cache, snapshot /v1/metrics,
+// fire the schedule, and snapshot again. A mode, target or workload
+// nobody knows is refused before anything reaches the server.
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Addr == "" && len(cfg.Addrs) == 0 {
 		return nil, fmt.Errorf("load: Config.Addr or Config.Addrs is required")
+	}
+	var fire func(client, Config, map[string]string, []JobSpec, *runStats)
+	switch cfg.Mode {
+	case "closed":
+		fire = runClosed
+	case "open":
+		fire = runOpen
+	default:
+		return nil, fmt.Errorf("load: unknown mode %q (want open or closed)", cfg.Mode)
+	}
+	for name := range cfg.Targets {
+		if target.ByName(name) == nil {
+			return nil, fmt.Errorf("load: unknown target %q (want mips, sparc, ppc or x86)", name)
+		}
 	}
 	specs, err := Schedule(cfg)
 	if err != nil {
@@ -236,29 +247,28 @@ func Run(cfg Config) (*Report, error) {
 		snapshot = ncl.Metrics
 	}
 
-	// Snapshot before the uploads: admission (wire decode, the audit
-	// gate) happens here, ahead of the serving interval the main
-	// delta describes, so the audit section needs its own baseline.
-	setup, err := snapshot()
-	if err != nil {
-		return nil, fmt.Errorf("load: metrics at setup: %w", err)
-	}
-
-	// Upload each workload the schedule actually uses.
-	hashes := map[string]string{}
+	// Build every workload the schedule uses, then upload: a name that
+	// does not build fails the run with the server untouched.
+	var names []string
+	blobs := map[string][]byte{}
 	for _, s := range specs {
-		if _, ok := hashes[s.Workload]; ok {
+		if _, ok := blobs[s.Workload]; ok {
 			continue
 		}
 		blob, err := BuildWorkload(s.Workload, cfg.Scale)
 		if err != nil {
 			return nil, err
 		}
-		up, err := cl.Upload(blob)
+		blobs[s.Workload] = blob
+		names = append(names, s.Workload)
+	}
+	hashes := map[string]string{}
+	for _, name := range names {
+		up, err := cl.Upload(blobs[name])
 		if err != nil {
-			return nil, fmt.Errorf("load: uploading %s: %w", s.Workload, err)
+			return nil, fmt.Errorf("load: uploading %s: %w", name, err)
 		}
-		hashes[s.Workload] = up.Hash
+		hashes[name] = up.Hash
 	}
 
 	if cfg.Prewarm {
@@ -274,6 +284,8 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 
+	// The interval opens after the uploads and the prewarm, so the
+	// translations and stage quantiles describe the serving phase only.
 	before, err := snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("load: metrics before: %w", err)
@@ -281,14 +293,7 @@ func Run(cfg Config) (*Report, error) {
 
 	var st runStats
 	start := time.Now()
-	switch cfg.Mode {
-	case "closed":
-		runClosed(cl, cfg, hashes, specs, &st)
-	case "open":
-		runOpen(cl, cfg, hashes, specs, &st)
-	default:
-		return nil, fmt.Errorf("load: unknown mode %q (want open or closed)", cfg.Mode)
-	}
+	fire(cl, cfg, hashes, specs, &st)
 	wall := time.Since(start)
 
 	after, err := snapshot()
@@ -306,7 +311,6 @@ func Run(cfg Config) (*Report, error) {
 			SFI:        !cfg.NoSFI,
 			Prewarm:    cfg.Prewarm,
 			DeadlineMs: cfg.DeadlineMs,
-			Audit:      cfg.Audit,
 			Workloads:  cfg.Workloads,
 			Targets:    cfg.Targets,
 		},
@@ -326,19 +330,7 @@ func Run(cfg Config) (*Report, error) {
 			WarmLatency: latStats(st.warmLat.Snapshot()),
 			ColdLatency: latStats(st.coldLat.Snapshot()),
 		},
-		Server: Delta(*before, *after),
-	}
-	// The main server delta starts after the uploads and prewarm so
-	// translations/stage quantiles describe the serving phase only —
-	// but the admission audit runs at upload time, inside that
-	// excluded window. Graft the audit section (counters and the
-	// audit stage) from a whole-run delta instead.
-	ad := Delta(*setup, *after)
-	r.Server.AuditPass = ad.AuditPass
-	r.Server.AuditWarns = ad.AuditWarns
-	r.Server.AuditRejects = ad.AuditRejects
-	if st, ok := ad.Stages["audit"]; ok {
-		r.Server.Stages["audit"] = st
+		Server: after.Sub(*before),
 	}
 	if cfg.Mode == "closed" {
 		r.Config.Clients = cfg.Clients
@@ -348,6 +340,9 @@ func Run(cfg Config) (*Report, error) {
 	if ccl != nil {
 		r.Config.Nodes = len(cfg.Addrs)
 		r.Load.Failovers = ccl.Failovers()
+	}
+	if err := Validate(r); err != nil {
+		return nil, err
 	}
 	return r, nil
 }

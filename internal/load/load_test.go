@@ -3,10 +3,12 @@ package load_test
 import (
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"omniware/internal/load"
+	"omniware/internal/serve/metrics"
 )
 
 func TestScheduleDeterministicAndWeighted(t *testing.T) {
@@ -95,9 +97,6 @@ func TestWildLoadContainedWithParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := load.Validate(rep); err != nil {
-		t.Fatal(err)
-	}
 	if l := rep.Load; l.Faults != 16 || l.OK != 0 || l.Errors != 0 || l.Checked != 16 || l.Parity != 0 {
 		t.Errorf("outcomes: %+v", l)
 	}
@@ -108,8 +107,8 @@ func TestWildLoadContainedWithParity(t *testing.T) {
 }
 
 // One real end-to-end run against an in-process server: the report
-// must validate, round-trip through JSON, and agree with itself
-// across the client and server views.
+// (which Run has already put through Validate) must round-trip through
+// JSON and agree with itself across the client and server views.
 func TestRunClosedLoop(t *testing.T) {
 	b, err := load.Boot(load.BootOpts{Workers: 2, QueueCap: 8})
 	if err != nil {
@@ -132,9 +131,6 @@ func TestRunClosedLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := load.Validate(rep); err != nil {
-		t.Fatal(err)
-	}
 	if rep.Load.OK != 24 || rep.Load.Faults != 0 || rep.Load.Errors != 0 {
 		t.Fatalf("outcomes: %+v", rep.Load)
 	}
@@ -149,8 +145,10 @@ func TestRunClosedLoop(t *testing.T) {
 	if rep.Server.JobsRun != 24 {
 		t.Fatalf("server ran %d jobs, want 24", rep.Server.JobsRun)
 	}
-	if rep.Server.SandboxPct <= 0 {
-		t.Fatalf("SFI run attributed no sandbox overhead: %+v", rep.Server)
+	for _, ts := range rep.Server.Targets {
+		if ran := ts.Target == "mips" || ts.Target == "sparc"; ran != (ts.SandboxPct > 0) {
+			t.Fatalf("sandbox overhead attributed to the wrong targets: %+v", ts)
+		}
 	}
 	for _, stage := range []string{"queue_wait", "translate", "run"} {
 		if rep.Server.Stages[stage].Count == 0 {
@@ -158,8 +156,7 @@ func TestRunClosedLoop(t *testing.T) {
 		}
 	}
 
-	// The JSON artifact round-trips losslessly under strict decoding —
-	// what omniload validate does to checked-in BENCH files.
+	// The JSON artifact round-trips losslessly under strict decoding.
 	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +172,7 @@ func TestRunClosedLoop(t *testing.T) {
 	}
 
 	out := load.Format(rep)
-	for _, want := range []string{"jobs/sec", "warm=24", "stage run"} {
+	for _, want := range []string{"jobs/sec", "warm=24", "stage_run"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("formatted report missing %q:\n%s", want, out)
 		}
@@ -201,9 +198,6 @@ func TestRunOpenLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := load.Validate(rep); err != nil {
-		t.Fatal(err)
-	}
 	if rep.Load.OK != 10 {
 		t.Fatalf("open loop: %+v", rep.Load)
 	}
@@ -214,7 +208,6 @@ func TestRunOpenLoop(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	good := &load.Report{
-		Schema: load.Schema,
 		Config: load.ConfigSummary{Jobs: 2},
 		Load: load.LoadStats{
 			DurationSec: 1, JobsPerSec: 2, Jobs: 2, OK: 2,
@@ -225,11 +218,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Fatalf("valid report rejected: %v", err)
 	}
 	bad := *good
-	bad.Schema = "omniload/v0"
-	if err := load.Validate(&bad); err == nil {
-		t.Fatal("wrong schema accepted")
-	}
-	bad = *good
 	bad.Load.OK = 1 // ok+faults+errors no longer sums to jobs
 	if err := load.Validate(&bad); err == nil {
 		t.Fatal("broken accounting accepted")
@@ -239,35 +227,33 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if err := load.Validate(&bad); err == nil {
 		t.Fatal("non-monotone quantiles accepted")
 	}
+	bad = *good
+	bad.Server.Stages = map[string]metrics.StageSnapshot{"run": {Count: 3, P50Us: 5, P95Us: 3, P99Us: 4}}
+	if err := load.Validate(&bad); err == nil {
+		t.Fatal("non-monotone server stage quantiles accepted")
+	}
 }
 
-func TestMeasureAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation benchmarks in -short mode")
-	}
-	stats, err := load.MeasureAllocs()
+// A mode, target or workload nobody knows is refused by name with the
+// server untouched: nothing is decoded, nothing runs.
+func TestRunRefusesBadConfigBeforeUpload(t *testing.T) {
+	b, err := load.Boot(load.BootOpts{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats) == 0 {
-		t.Fatal("no alloc stats")
-	}
-	for _, s := range stats {
-		if s.Name == "" || s.AllocsPerOp < 0 {
-			t.Fatalf("malformed stat %+v", s)
+	defer b.Close()
+	for offender, cfg := range map[string]load.Config{
+		"bogus":  {Mode: "bogus"},
+		"vax":    {Targets: load.Mix{"mips": 1, "vax": 1}},
+		"nosuch": {Workloads: load.Mix{load.TrivLoad: 1, "nosuch": 1}},
+	} {
+		cfg.Addr = b.Base
+		_, err := load.Run(cfg)
+		if err == nil || !strings.Contains(err.Error(), strconv.Quote(offender)) {
+			t.Errorf("%s: error %v does not name it", offender, err)
 		}
 	}
-	// The fresh-host path allocates by construction (a new address
-	// space per op); it anchors the pooled path's comparison.
-	if stats[0].Name != "exec_fresh_host" || stats[0].AllocsPerOp == 0 {
-		t.Fatalf("fresh-host baseline implausible: %+v", stats[0])
-	}
-	// The pooled path is the optimization under test: zero allocations
-	// per warm-cache sandboxed execute.
-	if stats[1].Name != "exec_pooled_host" {
-		t.Fatalf("pooled stat missing: %+v", stats)
-	}
-	if !raceEnabled && stats[1].AllocsPerOp != 0 {
-		t.Fatalf("pooled execute path allocates: %+v", stats[1])
+	if s := b.Server.Snapshot(); s.Stages["decode"].Count != 0 || s.JobsSubmitted != 0 {
+		t.Errorf("a refused run reached the server: decode=%d submitted=%d", s.Stages["decode"].Count, s.JobsSubmitted)
 	}
 }

@@ -95,8 +95,9 @@ func TestFamiliesMatchLabelSets(t *testing.T) {
 }
 
 // Sub undoes MergeSnapshots on every counter, histogram and labelled
-// family, leaves gauges at their current level, and clamps a counter
-// that went backwards to zero.
+// family, leaves gauges at their current level, clamps a counter that
+// went backwards to zero, and counts what the earlier snapshot lacks
+// from zero.
 func TestSubIsTheInterval(t *testing.T) {
 	before, grown := fixtureSnapshot(0), fixtureSnapshot(1)
 	after := MergeSnapshots(before, grown)
@@ -155,6 +156,30 @@ func TestSubIsTheInterval(t *testing.T) {
 	back := before.Sub(after)
 	if back.JobsRun != 0 || back.AuditWarns["stack"] != 0 || back.Stages["run"].Count != 0 || back.Targets[0].Insts != 0 {
 		t.Errorf("swapped snapshots did not clamp to zero: %+v", back)
+	}
+
+	// A stage with nothing new reads empty; a stage, a target and a
+	// peer that first appear inside the interval count from zero.
+	early, late := fixtureSnapshot(0), fixtureSnapshot(0)
+	delete(early.Stages, "peer_fetch")
+	early.Targets = early.Targets[:3]             // x86 has not run yet
+	early.Cluster.Peers = early.Cluster.Peers[:1] // 10.0.0.3 not yet probed
+	iv = late.Sub(early)
+	if st := iv.Stages["run"]; st.Count != 0 || st.P50Us != 0 || st.P99Us != 0 {
+		t.Errorf("stage with no new observations: %+v", st)
+	}
+	if !reflect.DeepEqual(iv.Stages["peer_fetch"], late.Stages["peer_fetch"]) {
+		t.Errorf("new stage: interval %+v, want %+v", iv.Stages["peer_fetch"], late.Stages["peer_fetch"])
+	}
+	if got, want := iv.Targets[3], late.Targets[3]; got.Target != "x86" || got.Jobs != want.Jobs ||
+		got.Insts != want.Insts || got.SandboxPct != want.SandboxPct || got.Run.Count != want.Run.Count {
+		t.Errorf("new target: interval %+v, want %+v", got, want)
+	}
+	if got, want := iv.Cluster.Peers[1], late.Cluster.Peers[1]; got.Peer != want.Peer || got.Errors != want.Errors {
+		t.Errorf("new peer: interval %+v, want %+v", got, want)
+	}
+	if iv.Targets[0].Jobs != 0 || iv.Cluster.Peers[0].Hits != 0 || iv.JobsRun != 0 {
+		t.Errorf("what did not move is not zero: %+v", iv)
 	}
 
 	// No earlier snapshot at all: the interval is the lifetime.
