@@ -308,10 +308,7 @@ func AnalyzeTargets(mod *ovm.Module, machines []*target.Machine) (*Report, error
 		tc := targetCost{name: m.Name, weight: make([]uint64, a.n)}
 		for i := range prog.Code {
 			in := &prog.Code[i]
-			lat := uint64(1)
-			if m.Latency != nil {
-				lat = uint64(m.Latency(in.Op))
-			}
+			lat := uint64(m.Latency[in.Op])
 			if in.Src >= 0 && int(in.Src) < a.n {
 				tc.weight[in.Src] += lat
 			} else {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"omniware/internal/cc"
@@ -106,51 +105,6 @@ int main(void) {
 			t.Fatalf("cycle %d: output %q, want %q", i, h.Output(), wantOut)
 		}
 		h.Release()
-	}
-}
-
-// The warm-cache serving path — acquire a pooled host, run a cached
-// translation, release — must not allocate at all. This is the
-// regression guard behind omnimark's exact core.exec_allocs_per_op; any
-// new allocation on this path shows up here before it shows up in a
-// benchmark run.
-func TestPooledExecAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	mod, err := BuildC([]SourceFile{{Name: "p.c", Src: "int main(void){ return 0; }"}}, cc.Options{OptLevel: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mach := target.MIPSMachine()
-	h0, err := NewHost(mod, RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := h0.Translate(mach, translate.Paper(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var runErr error
-	avg := testing.AllocsPerRun(100, func() {
-		h, err := AcquireHost(mod, RunConfig{})
-		if err != nil {
-			runErr = err
-			return
-		}
-		res, err := h.RunProgram(mach, prog)
-		h.Release()
-		if err != nil {
-			runErr = err
-		} else if res.ExitCode != 0 {
-			runErr = fmt.Errorf("exit %d", res.ExitCode)
-		}
-	})
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	if avg != 0 {
-		t.Fatalf("pooled execute path allocates %.2f allocs/op, want 0", avg)
 	}
 }
 

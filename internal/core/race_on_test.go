@@ -2,7 +2,7 @@
 
 package core
 
-// raceEnabled skips the allocation-count guards: the race detector
+// RaceEnabled skips the allocation-count guards: the race detector
 // changes the allocation profile, and sync.Pool intentionally drops
 // items under it, so allocs-per-run is not meaningful there.
-const raceEnabled = true
+const RaceEnabled = true

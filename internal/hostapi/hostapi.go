@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 
 	"omniware/internal/ovm"
 	"omniware/internal/seg"
@@ -242,6 +243,8 @@ type Env struct {
 
 	// Stats
 	SyscallCount [NumSyscalls]uint64
+
+	num [20]byte // formats print_int/print_uint without allocating
 }
 
 // NewEnv creates an environment writing module output to out.
@@ -277,9 +280,9 @@ func (e *Env) Syscall(num int32, cpu CPU) error {
 		}
 		io.WriteString(e.Out, s)
 	case SysPrintInt:
-		fmt.Fprintf(e.Out, "%d", int32(cpu.IntReg(ovm.RArg0)))
+		e.Out.Write(strconv.AppendInt(e.num[:0], int64(int32(cpu.IntReg(ovm.RArg0))), 10))
 	case SysPrintUint:
-		fmt.Fprintf(e.Out, "%d", cpu.IntReg(ovm.RArg0))
+		e.Out.Write(strconv.AppendUint(e.num[:0], uint64(cpu.IntReg(ovm.RArg0)), 10))
 	case SysSbrk:
 		incr := int32(cpu.IntReg(ovm.RArg0))
 		old := e.Layout.Brk

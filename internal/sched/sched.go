@@ -223,10 +223,7 @@ func setsFlags(in *target.Inst) bool {
 }
 
 func latOf(in *target.Inst, m *target.Machine) int {
-	if m.Latency == nil {
-		return 1
-	}
-	return m.Latency(in.Op)
+	return int(m.Latency[in.Op])
 }
 
 type depGraph struct {

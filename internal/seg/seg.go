@@ -146,9 +146,7 @@ func NewPooledSegment(name string, base, size uint32, perms Perm) (*Segment, err
 		perms: make([]Perm, pages),
 		dirty: make([]uint64, (pages+63)/64),
 	}
-	for i := range s.perms {
-		s.perms[i] = perms
-	}
+	fill(s.perms, perms)
 	return s, nil
 }
 
@@ -166,17 +164,74 @@ func (s *Segment) Recycle(name string, base uint32, perms Perm) {
 		}
 		s.dirty[w] = 0
 	}
-	for i := range s.perms {
-		s.perms[i] = perms
-	}
+	fill(s.perms, perms)
 	s.Name, s.Base = name, base
+}
+
+// fill sets every page's permissions to p. Doubling copies, because
+// a pooled segment's thousands of pages are reset on every job and a
+// byte loop over them was the larger part of standing a job up.
+func fill(ps []Perm, p Perm) {
+	if len(ps) == 0 {
+		return
+	}
+	ps[0] = p
+	for n := 1; n < len(ps); n *= 2 {
+		copy(ps[n:], ps[:n])
+	}
 }
 
 // Memory is a segmented address space. The zero value is empty; add
 // segments with Map.
 type Memory struct {
 	segs []*Segment // sorted by Base
+
+	// win is the segment the last checked access resolved to, so that
+	// the next access to it — nearly every access a module makes lands
+	// in its one data segment — skips the binary search. It describes a
+	// segment mapped in this Memory or nothing: Unmap and Reset empty
+	// it, and Map and Attach cannot overlap it. It copies the slices,
+	// not their contents, so Protect takes effect on the next access.
+	win window
 }
+
+// window is one segment's geometry and backing store.
+type window struct {
+	base  uint32
+	data  []byte
+	perms []Perm
+	dirty []uint64
+}
+
+// span returns the n bytes at addr (n a power of two no larger than a
+// page) if the access is aligned, inside the window, and its page
+// grants need; nil otherwise. A store marks its page dirty.
+func (w *window) span(addr, n uint32, need Perm) []byte {
+	off := addr - w.base
+	if addr&(n-1) != 0 || off >= uint32(len(w.data)) {
+		return nil
+	}
+	page := off / PageSize
+	if w.perms[page]&need == 0 {
+		return nil
+	}
+	if need == Write && w.dirty != nil {
+		w.dirty[page/64] |= 1 << (page % 64)
+	}
+	return w.data[off : off+n]
+}
+
+// LoadSpan and StoreSpan are the executor's inline fast path: the n
+// bytes (1, 2, 4 or 8) at addr when the access is aligned, lies in the
+// segment the last checked access resolved to, and its page grants
+// the permission — nil otherwise. nil is not a fault: the caller falls
+// back to Span, which reports the exact Fault or resolves the new
+// segment so the next access hits. StoreSpan marks the page dirty, as
+// Span does.
+func (m *Memory) LoadSpan(addr, n uint32) []byte { return m.win.span(addr, n, Read) }
+
+// StoreSpan: see LoadSpan.
+func (m *Memory) StoreSpan(addr, n uint32) []byte { return m.win.span(addr, n, Write) }
 
 // Map creates a segment of size bytes at base with uniform perms.
 // Size is rounded up to a page multiple. Overlapping an existing
@@ -198,9 +253,7 @@ func (m *Memory) Map(name string, base, size uint32, perms Perm) (*Segment, erro
 		}
 	}
 	pp := make([]Perm, size/PageSize)
-	for i := range pp {
-		pp[i] = perms
-	}
+	fill(pp, perms)
 	s := &Segment{Name: name, Base: base, data: make([]byte, size), perms: pp}
 	m.insert(s)
 	return s, nil
@@ -245,6 +298,7 @@ func (m *Memory) Reset() {
 		m.segs[i] = nil
 	}
 	m.segs = m.segs[:0]
+	m.win = window{}
 }
 
 // Unmap removes the segment at base.
@@ -252,6 +306,7 @@ func (m *Memory) Unmap(base uint32) error {
 	for i, s := range m.segs {
 		if s.Base == base {
 			m.segs = append(m.segs[:i], m.segs[i+1:]...)
+			m.win = window{}
 			return nil
 		}
 	}
@@ -315,111 +370,111 @@ func (m *Memory) PermsAt(addr uint32) Perm {
 	return s.perms[(addr-s.Base)/PageSize]
 }
 
-// check validates an access and returns the segment and intra-segment
-// offset.
-func (m *Memory) check(addr uint32, size int, acc Access) (*Segment, uint32, *Fault) {
-	if addr%uint32(size) != 0 {
-		return nil, 0, &Fault{Kind: FaultUnaligned, Acc: acc, Addr: addr, Size: size}
-	}
-	s := m.Find(addr)
-	if s == nil || addr+uint32(size) > s.End() {
-		return nil, 0, &Fault{Kind: FaultUnmapped, Acc: acc, Addr: addr, Size: size}
-	}
-	var need Perm
+// Span validates an access of size bytes (1, 2, 4 or 8) at addr and
+// returns the bytes it covers, or the Fault that refuses it. It is
+// what every accessor below checks with, and the executor's fallback
+// when its LoadSpan or StoreSpan misses.
+func (m *Memory) Span(addr, size uint32, acc Access) ([]byte, *Fault) {
+	need := Exec
 	switch acc {
 	case AccLoad:
 		need = Read
 	case AccStore:
 		need = Write
-	case AccFetch:
-		need = Exec
 	}
-	// An access that straddles a page boundary needs permission on both
-	// pages; with power-of-two sizes and alignment enforced above, an
-	// access never straddles, so one page check suffices.
-	page := (addr - s.Base) / PageSize
-	if s.perms[page]&need == 0 {
-		return nil, 0, &Fault{Kind: FaultProt, Acc: acc, Addr: addr, Size: size}
+	if b := m.win.span(addr, size, need); b != nil {
+		return b, nil
 	}
-	if acc == AccStore && s.dirty != nil {
-		s.dirty[page/64] |= 1 << (page % 64)
+	if addr%size != 0 {
+		return nil, &Fault{Kind: FaultUnaligned, Acc: acc, Addr: addr, Size: int(size)}
 	}
-	return s, addr - s.Base, nil
+	s := m.Find(addr)
+	if s == nil || addr+size > s.End() {
+		return nil, &Fault{Kind: FaultUnmapped, Acc: acc, Addr: addr, Size: int(size)}
+	}
+	m.win = window{base: s.Base, data: s.data, perms: s.perms, dirty: s.dirty}
+	// Aligned and in the segment, so only the page's permission can
+	// refuse it now. With power-of-two sizes and alignment enforced,
+	// an access never straddles a page: one page check suffices.
+	if b := m.win.span(addr, size, need); b != nil {
+		return b, nil
+	}
+	return nil, &Fault{Kind: FaultProt, Acc: acc, Addr: addr, Size: int(size)}
 }
 
 // LoadU8 loads a byte.
 func (m *Memory) LoadU8(addr uint32) (uint8, *Fault) {
-	s, off, f := m.check(addr, 1, AccLoad)
+	b, f := m.Span(addr, 1, AccLoad)
 	if f != nil {
 		return 0, f
 	}
-	return s.data[off], nil
+	return b[0], nil
 }
 
 // LoadU16 loads a little-endian halfword.
 func (m *Memory) LoadU16(addr uint32) (uint16, *Fault) {
-	s, off, f := m.check(addr, 2, AccLoad)
+	b, f := m.Span(addr, 2, AccLoad)
 	if f != nil {
 		return 0, f
 	}
-	return binary.LittleEndian.Uint16(s.data[off:]), nil
+	return binary.LittleEndian.Uint16(b), nil
 }
 
 // LoadU32 loads a little-endian word.
 func (m *Memory) LoadU32(addr uint32) (uint32, *Fault) {
-	s, off, f := m.check(addr, 4, AccLoad)
+	b, f := m.Span(addr, 4, AccLoad)
 	if f != nil {
 		return 0, f
 	}
-	return binary.LittleEndian.Uint32(s.data[off:]), nil
+	return binary.LittleEndian.Uint32(b), nil
 }
 
 // LoadU64 loads a little-endian doubleword.
 func (m *Memory) LoadU64(addr uint32) (uint64, *Fault) {
-	s, off, f := m.check(addr, 8, AccLoad)
+	b, f := m.Span(addr, 8, AccLoad)
 	if f != nil {
 		return 0, f
 	}
-	return binary.LittleEndian.Uint64(s.data[off:]), nil
+	return binary.LittleEndian.Uint64(b), nil
 }
 
 // StoreU8 stores a byte.
 func (m *Memory) StoreU8(addr uint32, v uint8) *Fault {
-	s, off, f := m.check(addr, 1, AccStore)
+	b, f := m.Span(addr, 1, AccStore)
 	if f != nil {
 		return f
 	}
-	s.data[off] = v
+	b[0] = v
 	return nil
 }
 
 // StoreU16 stores a little-endian halfword.
 func (m *Memory) StoreU16(addr uint32, v uint16) *Fault {
-	s, off, f := m.check(addr, 2, AccStore)
+	b, f := m.Span(addr, 2, AccStore)
 	if f != nil {
 		return f
 	}
-	binary.LittleEndian.PutUint16(s.data[off:], v)
+	binary.LittleEndian.PutUint16(b, v)
 	return nil
 }
 
 // StoreU32 stores a little-endian word.
 func (m *Memory) StoreU32(addr uint32, v uint32) *Fault {
-	s, off, f := m.check(addr, 4, AccStore)
+	b, f := m.Span(addr, 4, AccStore)
 	if f != nil {
 		return f
 	}
-	binary.LittleEndian.PutUint32(s.data[off:], v)
+	binary.LittleEndian.PutUint32(b, v)
 	return nil
 }
 
 // StoreU64 stores a little-endian doubleword.
 func (m *Memory) StoreU64(addr uint32, v uint64) *Fault {
-	s, off, f := m.check(addr, 8, AccStore)
+	b, f := m.Span(addr, 8, AccStore)
 	if f != nil {
 		return f
 	}
-	binary.LittleEndian.PutUint64(s.data[off:], v)
+	binary.LittleEndian.PutUint64(b, v)
 	return nil
 }
 
@@ -427,7 +482,7 @@ func (m *Memory) StoreU64(addr uint32, v uint64) *Fault {
 // the indirect-branch path of interpreters; translated code uses SFI
 // sandboxing instead).
 func (m *Memory) CheckFetch(addr uint32) *Fault {
-	_, _, f := m.check(addr, 1, AccFetch)
+	_, f := m.Span(addr, 1, AccFetch)
 	return f
 }
 

@@ -245,3 +245,112 @@ func TestStrings(t *testing.T) {
 		t.Error("perm string")
 	}
 }
+
+// The window (Memory.win) caches the segment the last checked access
+// resolved to, and LoadSpan/StoreSpan read it with no search at all.
+// These pin that it never outlives the mapping it was taken from, never
+// skips a permission, and never skips the dirty bit Recycle relies on.
+
+func TestWindowDropsUnmappedRanges(t *testing.T) {
+	s, err := NewPooledSegment("d", 0x10000, 4*PageSize, Read|Write)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Memory
+	if err := m.Attach(s); err != nil {
+		t.Fatal(err)
+	}
+	if f := m.StoreU32(0x10010, 7); f != nil {
+		t.Fatal(f)
+	}
+	if m.LoadSpan(0x10010, 4) == nil {
+		t.Fatal("window not taken after a checked access")
+	}
+	// The pooled-host cycle: detach everything, recycle the segment at
+	// a new base, attach it again.
+	m.Reset()
+	s.Recycle("d", 0x40000, Read|Write)
+	if err := m.Attach(s); err != nil {
+		t.Fatal(err)
+	}
+	if m.LoadSpan(0x10010, 4) != nil || m.StoreSpan(0x10010, 4) != nil {
+		t.Error("fast path still serves the recycled segment's old range")
+	}
+	if _, f := m.LoadU32(0x10010); f == nil || f.Kind != FaultUnmapped {
+		t.Errorf("old range after Reset+Attach: %v, want an unmapped fault", f)
+	}
+	if v, f := m.LoadU32(0x40010); f != nil || v != 0 {
+		t.Errorf("new range: %#x, %v; want the scrubbed 0", v, f)
+	}
+
+	if err := m.Unmap(0x40000); err != nil {
+		t.Fatal(err)
+	}
+	if m.LoadSpan(0x40010, 4) != nil {
+		t.Error("fast path still serves an unmapped segment")
+	}
+	if _, f := m.LoadU32(0x40010); f == nil || f.Kind != FaultUnmapped {
+		t.Errorf("after Unmap: %v, want an unmapped fault", f)
+	}
+}
+
+func TestWindowSeesProtect(t *testing.T) {
+	var m Memory
+	if _, err := m.Map("d", 0x10000, 2*PageSize, Read|Write); err != nil {
+		t.Fatal(err)
+	}
+	if f := m.StoreU32(0x11000, 1); f != nil {
+		t.Fatal(f)
+	}
+	if err := m.Protect(0x11000, PageSize, Read); err != nil {
+		t.Fatal(err)
+	}
+	if m.StoreSpan(0x11000, 4) != nil {
+		t.Error("fast path stores to a page Protect made read-only")
+	}
+	if f := m.StoreU32(0x11000, 2); f == nil || f.Kind != FaultProt {
+		t.Errorf("store after Protect: %v, want a protection fault", f)
+	}
+	if m.LoadSpan(0x11000, 4) == nil || m.StoreSpan(0x10000, 4) == nil {
+		t.Error("Protect cost the fast path a permission it did not change")
+	}
+	if err := m.Protect(0x11000, PageSize, 0); err != nil {
+		t.Fatal(err)
+	}
+	if m.LoadSpan(0x11000, 4) != nil {
+		t.Error("fast path loads from a page Protect made inaccessible")
+	}
+	if _, f := m.LoadU32(0x11000); f == nil || f.Kind != FaultProt {
+		t.Errorf("load after Protect: %v, want a protection fault", f)
+	}
+}
+
+func TestWindowStoresMarkDirty(t *testing.T) {
+	s, err := NewPooledSegment("d", 0x10000, 4*PageSize, Read|Write)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Memory
+	if err := m.Attach(s); err != nil {
+		t.Fatal(err)
+	}
+	if f := m.StoreU8(0x10000, 1); f != nil { // takes the window
+		t.Fatal(f)
+	}
+	b := m.StoreSpan(0x12008, 8)
+	if b == nil {
+		t.Fatal("fast path missed inside the window")
+	}
+	copy(b, "job A's!")
+	// The next job gets the same backing store.
+	m.Reset()
+	s.Recycle("d", 0x10000, Read|Write)
+	if err := m.Attach(s); err != nil {
+		t.Fatal(err)
+	}
+	for off, v := range s.Bytes() {
+		if v != 0 {
+			t.Fatalf("byte %#x is %#x after Recycle: a fast-path store skipped its dirty bit", off, v)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package target
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -45,6 +46,15 @@ func faultKind(f *seg.Fault) uint32 {
 // of its Machine, and the delay-slot semantics of the delay-slot
 // architectures; it implements hostapi.CPU so syscalls see the OmniVM
 // register state through the machine's register mapping.
+//
+// Sim does not execute Prog.Code directly: Reset lowers it into a
+// dense per-run form (lower.go) and Run executes that. The lowering is
+// rebuilt from Prog on every Reset and never stored on the Program, so
+// what runs is always the code that was verified, however the Program
+// was copied or edited since; its buffer survives Detach, so a pooled
+// simulator lowers without allocating. Every count a run reports —
+// instructions, cycles, categories — and every fault, error and store
+// is the same as executing the Insts one at a time.
 type Sim struct {
 	M    *Machine
 	Prog *Program
@@ -71,9 +81,11 @@ type Sim struct {
 	// its data segment.
 	StoreTrace func(addr, size uint32, faulted bool)
 
-	r  [32]uint32  // integer file
-	f  [32]float64 // FP file (indexed by reg-32)
-	ia uint32      // latched integer compare operands
+	// Register files, indexed by lowered slot: the architectural
+	// registers, then slotZero and slotSink.
+	r  [fileSize]uint32
+	f  [fileSize]float64
+	ia uint32 // latched integer compare operands
 	ib uint32
 	fa float64 // latched FP compare operands
 	fb float64
@@ -81,31 +93,45 @@ type Sim struct {
 	pc       int32
 	insts    uint64
 	nextPoll uint64 // insts threshold for the next Interrupt check
-	counts   [NumCats]uint64
-	pipe     pipe
+	counts   [8]uint64
+	// Pipeline state: the clock, issue slots used in the current
+	// cycle, and the scoreboard.
+	clock uint64
+	slot  uint64
+	avail [sbSize]uint64
+
+	code []linst // Prog.Code lowered for M; storage kept across runs
 }
 
 // New prepares a simulator for one run of prog. The OmniVM stack
 // pointer and return-address images are initialized exactly as the
 // interpreter initializes them.
 func New(m *Machine, prog *Program, mem *seg.Memory, env *hostapi.Env) *Sim {
-	s := &Sim{M: m, Prog: prog, Mem: mem, Env: env, pc: prog.Entry}
-	s.pipe.init(m)
-	s.SetIntReg(14, env.Layout.StackTop) // OmniVM sp
-	s.SetIntReg(15, 0x7fffffff)          // returning from entry halts
+	s := new(Sim)
+	s.Reset(m, prog, mem, env)
 	return s
 }
 
-// Reset reinitializes a simulator in place — New without the
-// allocation, for callers that embed a Sim and reuse it across runs
-// (the serving layer's pooled hosts). The zero-value assignment
-// clears every piece of run state (registers, counters, pipeline
-// clock); the tail mirrors New exactly.
+// Reset reinitializes a simulator in place for a run of prog — New
+// without the allocation, for callers that embed a Sim and reuse it
+// across runs (the serving layer's pooled hosts). It clears every piece
+// of run state (registers, counters, pipeline) and lowers prog for m
+// into the storage the previous run left, growing it only for a longer
+// program than any before.
 func (s *Sim) Reset(m *Machine, prog *Program, mem *seg.Memory, env *hostapi.Env) {
+	code := s.code
 	*s = Sim{M: m, Prog: prog, Mem: mem, Env: env, pc: prog.Entry}
-	s.pipe.init(m)
-	s.SetIntReg(14, env.Layout.StackTop)
-	s.SetIntReg(15, 0x7fffffff)
+	s.code = lower(code, m, prog.Code)
+	s.SetIntReg(14, env.Layout.StackTop) // OmniVM sp
+	s.SetIntReg(15, 0x7fffffff)          // returning from entry halts
+}
+
+// Detach drops the simulator's references to its last run's machine,
+// program, memory, environment and hooks, so that a pooled simulator
+// pins none of them, and keeps the lowering storage for the next
+// Reset.
+func (s *Sim) Detach() {
+	s.M, s.Prog, s.Mem, s.Env, s.Interrupt, s.StoreTrace = nil, nil, nil, nil, nil, nil
 }
 
 // regSaveAddr is the memory slot of OmniVM integer register i.
@@ -153,48 +179,12 @@ func (s *Sim) SetFPReg(i int, v float64) {
 }
 
 // Cycles returns elapsed simulated cycles.
-func (s *Sim) Cycles() uint64 { return s.pipe.clock }
-
-// reg reads integer register r (NoReg reads as 0, covering absolute
-// addressing and the zero-register image).
-func (s *Sim) reg(r Reg) uint32 {
-	if r == NoReg {
-		return 0
-	}
-	return s.r[r]
-}
-
-// setR writes integer register r; writes to NoReg and to the
-// hardwired zero register are discarded.
-func (s *Sim) setR(r Reg, v uint32) {
-	if r == NoReg || r == s.M.ZeroReg {
-		return
-	}
-	s.r[r] = v
-}
-
-func (s *Sim) fp(r Reg) float64 {
-	if r < 32 {
-		return 0
-	}
-	return s.f[r-32]
-}
-
-func (s *Sim) setF(r Reg, v float64) {
-	if r >= 32 {
-		s.f[r-32] = v
-	}
-}
+func (s *Sim) Cycles() uint64 { return s.clock }
 
 func (s *Sim) result(exit int32, faulted bool, fault string) Result {
-	return Result{
-		ExitCode: exit,
-		Insts:    s.insts,
-		Cycles:   s.Cycles(),
-		Counts:   s.counts,
-		Faulted:  faulted,
-		Fault:    fault,
-	}
+	r := Result{ExitCode: exit, Insts: s.insts, Cycles: s.clock, Faulted: faulted, Fault: fault}
+	copy(r.Counts[:], s.counts[:])
+	return r
 }
 
 // exception delivers an access violation to the module's registered
@@ -220,161 +210,494 @@ func (s *Sim) exception(kind, addr uint32, src int32, desc string) (Result, bool
 	return Result{}, false
 }
 
-// account charges one executed instruction to the statistics and the
-// pipeline model.
-func (s *Sim) account(in *Inst) {
-	s.insts++
-	s.counts[in.Cat]++
-	s.pipe.issue(in)
+// sync writes Run's loop state back.
+func (s *Sim) sync(pc int, insts, clock, slot uint64) {
+	s.pc, s.insts, s.clock, s.slot = int32(pc), insts, clock, slot
+}
+
+// limit is the instruction count at which Run must next stop and look:
+// the budget or the next Interrupt poll, whichever comes first.
+func (s *Sim) limit() uint64 {
+	l := uint64(math.MaxUint64)
+	if s.MaxInsts > 0 {
+		l = s.MaxInsts
+	}
+	if s.Interrupt != nil {
+		l = min(l, s.nextPoll)
+	}
+	return l
+}
+
+// poll makes the checks limit stands for.
+func (s *Sim) poll() error {
+	if s.MaxInsts > 0 && s.insts >= s.MaxInsts {
+		return fmt.Errorf("target/%s: %w (%d) at pc=%d", s.M.Name, hostapi.ErrBudget, s.MaxInsts, s.pc)
+	}
+	// A threshold (not insts&mask == 0) because delay-slot machines
+	// account two instructions per branch iteration: an exact-match
+	// poll can step over every multiple of the mask and never fire.
+	if s.Interrupt != nil && s.insts >= s.nextPoll {
+		s.nextPoll = s.insts + 0x1000
+		if s.Interrupt.Load() {
+			return fmt.Errorf("target/%s: %w at pc=%d after %d instructions", s.M.Name, hostapi.ErrInterrupted, s.pc, s.insts)
+		}
+	}
+	return nil
 }
 
 // Run executes until halt, exit, an unhandled exception, or the
 // instruction budget.
+//
+// The loop keeps pc, the instruction count and the pipeline clock in
+// locals and writes them back (sync) before anything that can observe
+// them: a syscall, an exception, a limit check, a return. The budget
+// and Interrupt checks are one compare against limit, made where the
+// Inst-at-a-time loop made them: before each instruction, except that
+// a delay slot runs together with its branch.
 func (s *Sim) Run() (Result, error) {
-	code := s.Prog.Code
-	n := int32(len(code))
+	code := s.code
+	r, f, av := &s.r, &s.f, &s.avail
+	mem, trace, o2n := s.Mem, s.StoreTrace, s.Prog.OmniToNative
+	name, delay, disc, width := s.M.Name, s.M.HasDelaySlot, discipline(s.M), uint64(s.M.IssueWidth)
+
+	pc, insts, clock, slot := int(s.pc), s.insts, s.clock, s.slot
+	limit := s.limit()
+
+	var (
+		npc    int    // where pc goes after a non-control instruction
+		inSlot bool   // executing a branch's delay slot
+		taken  bool   // control transfer outcome, for xfer
+		tgt    int    // ... and its target
+		fk, fa uint32 // pending exception kind and address, for fault
+	)
 	for {
-		if s.MaxInsts > 0 && s.insts >= s.MaxInsts {
-			return Result{}, fmt.Errorf("target/%s: %w (%d) at pc=%d", s.M.Name, hostapi.ErrBudget, s.MaxInsts, s.pc)
-		}
-		// A threshold (not insts&mask == 0) because delay-slot machines
-		// account two instructions per branch iteration: an exact-match
-		// poll can step over every multiple of the mask and never fire.
-		if s.Interrupt != nil && s.insts >= s.nextPoll {
-			s.nextPoll = s.insts + 0x1000
-			if s.Interrupt.Load() {
-				return Result{}, fmt.Errorf("target/%s: %w at pc=%d after %d instructions", s.M.Name, hostapi.ErrInterrupted, s.pc, s.insts)
+		if insts >= limit {
+			s.sync(pc, insts, clock, slot)
+			if err := s.poll(); err != nil {
+				return Result{}, err
 			}
+			limit = s.limit()
 		}
-		if s.pc < 0 || s.pc >= n {
-			if res, done := s.exception(excBadJump, uint32(s.pc), s.pc, fmt.Sprintf("target/%s: pc %d out of code", s.M.Name, s.pc)); done {
+		if uint(pc) >= uint(len(code)) {
+			s.sync(pc, insts, clock, slot)
+			if res, done := s.exception(excBadJump, uint32(pc), int32(pc), fmt.Sprintf("target/%s: pc %d out of code", name, pc)); done {
 				return res, nil
 			}
+			pc = int(s.pc)
 			continue
 		}
-		in := &code[s.pc]
-		op := in.Op
-
-		// Control transfers (with delay-slot execution on the
-		// delay-slot machines); everything else is a simple step.
-		if op.IsBranch() || op.IsJump() {
-			s.account(in)
-			taken, tgt, kind, addr := s.resolve(in)
-			if kind != 0 {
-				if res, done := s.exception(kind, addr, in.Src, fmt.Sprintf("target/%s: bad indirect target %#x", s.M.Name, addr)); done {
-					return res, nil
-				}
-				continue
-			}
-			next := s.pc + 1
-			if s.M.HasDelaySlot {
-				next = s.pc + 2
-				if s.pc+1 < n {
-					slot := &code[s.pc+1]
-					if slot.Op.IsBranch() || slot.Op.IsJump() || slot.Op == Syscall {
-						return Result{}, fmt.Errorf("target/%s: control transfer in delay slot at %d", s.M.Name, s.pc+1)
-					}
-					s.account(slot)
-					if kind, addr, fault := s.step(slot); fault {
-						if res, done := s.exception(kind, addr, slot.Src, fmt.Sprintf("target/%s: fault in delay slot at %d", s.M.Name, s.pc+1)); done {
-							return res, nil
-						}
-						continue
-					}
-				}
-			}
-			if taken {
-				next = tgt
-			}
-			s.pc = next
-			continue
+		npc, inSlot = pc+1, false
+	exec:
+		l := &code[pc]
+		insts++
+		s.counts[l.cat&7]++
+		switch disc {
+		case discSingle:
+			clock = issueSingle(av, l, clock)
+		case discDual:
+			clock, slot = issueDual(av, l, clock, slot, width)
+		default:
+			clock, slot = issuePentium(av, l, clock, slot)
 		}
 
-		switch op {
+		switch l.op {
+		case Nop:
+
+		// Three-register ALU.
+		case Add:
+			r[l.d&63] = r[l.a&63] + r[l.b&63]
+		case Sub:
+			r[l.d&63] = r[l.a&63] - r[l.b&63]
+		case Mul:
+			r[l.d&63] = uint32(int32(r[l.a&63]) * int32(r[l.b&63]))
+		case Div, DivU, Rem, RemU:
+			a, b := r[l.a&63], r[l.b&63]
+			if b == 0 {
+				fk, fa = excDivZero, 0
+				goto fault
+			}
+			switch l.op {
+			case Div:
+				r[l.d&63] = uint32(int32(a) / int32(b))
+			case DivU:
+				r[l.d&63] = a / b
+			case Rem:
+				r[l.d&63] = uint32(int32(a) % int32(b))
+			case RemU:
+				r[l.d&63] = a % b
+			}
+		case And:
+			r[l.d&63] = r[l.a&63] & r[l.b&63]
+		case Or:
+			r[l.d&63] = r[l.a&63] | r[l.b&63]
+		case Xor:
+			r[l.d&63] = r[l.a&63] ^ r[l.b&63]
+		case Sll:
+			r[l.d&63] = r[l.a&63] << (r[l.b&63] & 31)
+		case Srl:
+			r[l.d&63] = r[l.a&63] >> (r[l.b&63] & 31)
+		case Sra:
+			r[l.d&63] = uint32(int32(r[l.a&63]) >> (r[l.b&63] & 31))
+		case Slt:
+			r[l.d&63] = b2u(int32(r[l.a&63]) < int32(r[l.b&63]))
+		case Sltu:
+			r[l.d&63] = b2u(r[l.a&63] < r[l.b&63])
+
+		// Register-immediate ALU.
+		case AddI, Lea:
+			r[l.d&63] = r[l.a&63] + uint32(l.imm)
+		case AndI:
+			r[l.d&63] = r[l.a&63] & uint32(l.imm)
+		case OrI:
+			r[l.d&63] = r[l.a&63] | uint32(l.imm)
+		case XorI:
+			r[l.d&63] = r[l.a&63] ^ uint32(l.imm)
+		case SllI:
+			r[l.d&63] = r[l.a&63] << (uint32(l.imm) & 31)
+		case SrlI:
+			r[l.d&63] = r[l.a&63] >> (uint32(l.imm) & 31)
+		case SraI:
+			r[l.d&63] = uint32(int32(r[l.a&63]) >> (uint32(l.imm) & 31))
+		case SltI:
+			r[l.d&63] = b2u(int32(r[l.a&63]) < l.imm)
+		case SltuI:
+			r[l.d&63] = b2u(r[l.a&63] < uint32(l.imm))
+
+		// Constants and moves.
+		case MovI:
+			r[l.d&63] = uint32(l.imm)
+		case Mov:
+			r[l.d&63] = r[l.a&63]
+		case Lui:
+			r[l.d&63] = uint32(l.imm) << 16
+		case Neg:
+			r[l.d&63] = -r[l.a&63]
+
+		// Memory: the segment window's inline fast path, else the
+		// checked path, which resolves the segment or names the fault.
+		case Lb:
+			a := r[l.a&63] + r[l.b&63] + uint32(l.imm)
+			b := mem.LoadSpan(a, 1)
+			if b == nil {
+				if b, fk = s.checked(a, 1, seg.AccLoad); b == nil {
+					fa = a
+					goto fault
+				}
+			}
+			r[l.d&63] = uint32(int32(int8(b[0])))
+		case Lbu:
+			a := r[l.a&63] + r[l.b&63] + uint32(l.imm)
+			b := mem.LoadSpan(a, 1)
+			if b == nil {
+				if b, fk = s.checked(a, 1, seg.AccLoad); b == nil {
+					fa = a
+					goto fault
+				}
+			}
+			r[l.d&63] = uint32(b[0])
+		case Lh:
+			a := r[l.a&63] + r[l.b&63] + uint32(l.imm)
+			b := mem.LoadSpan(a, 2)
+			if b == nil {
+				if b, fk = s.checked(a, 2, seg.AccLoad); b == nil {
+					fa = a
+					goto fault
+				}
+			}
+			r[l.d&63] = uint32(int32(int16(binary.LittleEndian.Uint16(b))))
+		case Lhu:
+			a := r[l.a&63] + r[l.b&63] + uint32(l.imm)
+			b := mem.LoadSpan(a, 2)
+			if b == nil {
+				if b, fk = s.checked(a, 2, seg.AccLoad); b == nil {
+					fa = a
+					goto fault
+				}
+			}
+			r[l.d&63] = uint32(binary.LittleEndian.Uint16(b))
+		case Lw:
+			a := r[l.a&63] + r[l.b&63] + uint32(l.imm)
+			b := mem.LoadSpan(a, 4)
+			if b == nil {
+				if b, fk = s.checked(a, 4, seg.AccLoad); b == nil {
+					fa = a
+					goto fault
+				}
+			}
+			r[l.d&63] = binary.LittleEndian.Uint32(b)
+		case Lf:
+			a := r[l.a&63] + r[l.b&63] + uint32(l.imm)
+			b := mem.LoadSpan(a, 4)
+			if b == nil {
+				if b, fk = s.checked(a, 4, seg.AccLoad); b == nil {
+					fa = a
+					goto fault
+				}
+			}
+			f[l.d&63] = float64(math.Float32frombits(binary.LittleEndian.Uint32(b)))
+		case Ld:
+			a := r[l.a&63] + r[l.b&63] + uint32(l.imm)
+			b := mem.LoadSpan(a, 8)
+			if b == nil {
+				if b, fk = s.checked(a, 8, seg.AccLoad); b == nil {
+					fa = a
+					goto fault
+				}
+			}
+			f[l.d&63] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+		case Sb:
+			a := r[l.a&63] + r[l.b&63] + uint32(l.imm)
+			b := mem.StoreSpan(a, 1)
+			if b == nil {
+				if b, fk = s.checked(a, 1, seg.AccStore); b == nil {
+					fa = a
+					goto storeFault
+				}
+			}
+			b[0] = uint8(r[l.d&63])
+			if trace != nil {
+				trace(a, 1, false)
+			}
+		case Sh:
+			a := r[l.a&63] + r[l.b&63] + uint32(l.imm)
+			b := mem.StoreSpan(a, 2)
+			if b == nil {
+				if b, fk = s.checked(a, 2, seg.AccStore); b == nil {
+					fa = a
+					goto storeFault
+				}
+			}
+			binary.LittleEndian.PutUint16(b, uint16(r[l.d&63]))
+			if trace != nil {
+				trace(a, 2, false)
+			}
+		case Sw:
+			a := r[l.a&63] + r[l.b&63] + uint32(l.imm)
+			b := mem.StoreSpan(a, 4)
+			if b == nil {
+				if b, fk = s.checked(a, 4, seg.AccStore); b == nil {
+					fa = a
+					goto storeFault
+				}
+			}
+			binary.LittleEndian.PutUint32(b, r[l.d&63])
+			if trace != nil {
+				trace(a, 4, false)
+			}
+		case Sf:
+			a := r[l.a&63] + r[l.b&63] + uint32(l.imm)
+			b := mem.StoreSpan(a, 4)
+			if b == nil {
+				if b, fk = s.checked(a, 4, seg.AccStore); b == nil {
+					fa = a
+					goto storeFault
+				}
+			}
+			binary.LittleEndian.PutUint32(b, math.Float32bits(float32(f[l.d&63])))
+			if trace != nil {
+				trace(a, 4, false)
+			}
+		case Sd:
+			a := r[l.a&63] + r[l.b&63] + uint32(l.imm)
+			b := mem.StoreSpan(a, 8)
+			if b == nil {
+				if b, fk = s.checked(a, 8, seg.AccStore); b == nil {
+					fa = a
+					goto storeFault
+				}
+			}
+			binary.LittleEndian.PutUint64(b, math.Float64bits(f[l.d&63]))
+			if trace != nil {
+				trace(a, 8, false)
+			}
+		case opMemSrc, opMemDst:
+			if fk, fa = s.memALU(l); fk != 0 {
+				goto fault
+			}
+
+		// FP arithmetic: single-precision forms round through float32,
+		// exactly as the interpreter does.
+		case FaddS:
+			f[l.d&63] = float64(float32(f[l.a&63]) + float32(f[l.b&63]))
+		case FsubS:
+			f[l.d&63] = float64(float32(f[l.a&63]) - float32(f[l.b&63]))
+		case FmulS:
+			f[l.d&63] = float64(float32(f[l.a&63]) * float32(f[l.b&63]))
+		case FdivS:
+			f[l.d&63] = float64(float32(f[l.a&63]) / float32(f[l.b&63]))
+		case FaddD:
+			f[l.d&63] = f[l.a&63] + f[l.b&63]
+		case FsubD:
+			f[l.d&63] = f[l.a&63] - f[l.b&63]
+		case FmulD:
+			f[l.d&63] = f[l.a&63] * f[l.b&63]
+		case FdivD:
+			f[l.d&63] = f[l.a&63] / f[l.b&63]
+		case FnegS:
+			f[l.d&63] = float64(-float32(f[l.a&63]))
+		case FnegD:
+			f[l.d&63] = -f[l.a&63]
+		case FabsS:
+			f[l.d&63] = float64(float32(math.Abs(f[l.a&63])))
+		case FabsD:
+			f[l.d&63] = math.Abs(f[l.a&63])
+		case Fmov:
+			f[l.d&63] = f[l.a&63]
+		case MovWF:
+			f[l.d&63] = float64(math.Float32frombits(r[l.a&63]))
+		case MovFW:
+			r[l.d&63] = math.Float32bits(float32(f[l.a&63]))
+		case CvtWS:
+			f[l.d&63] = float64(float32(int32(r[l.a&63])))
+		case CvtWD:
+			f[l.d&63] = float64(int32(r[l.a&63]))
+		case CvtSW:
+			r[l.d&63] = uint32(truncToI32(float64(float32(f[l.a&63]))))
+		case CvtDW:
+			r[l.d&63] = uint32(truncToI32(f[l.a&63]))
+		case CvtSD, CvtDS:
+			f[l.d&63] = float64(float32(f[l.a&63]))
+
+		// Compares latch operands; the CC on the branch decides how they
+		// are interpreted.
+		case Cmp:
+			s.ia, s.ib = r[l.a&63], r[l.b&63]
+		case CmpI, CmpUI:
+			s.ia, s.ib = r[l.a&63], uint32(l.imm)
+		case Fcmp:
+			s.fa, s.fb = f[l.a&63], f[l.b&63]
+
+		// Control transfers.
+		case Bcc:
+			taken, tgt = intCC(CC(l.sub), s.ia, s.ib), int(l.tgt)
+			goto xfer
+		case FBcc:
+			taken, tgt = fpCC(CC(l.sub), s.fa, s.fb), int(l.tgt)
+			goto xfer
+		case Beq:
+			taken, tgt = r[l.a&63] == r[l.b&63], int(l.tgt)
+			goto xfer
+		case Bne:
+			taken, tgt = r[l.a&63] != r[l.b&63], int(l.tgt)
+			goto xfer
+		case Beqz:
+			taken, tgt = r[l.a&63] == 0, int(l.tgt)
+			goto xfer
+		case Bnez:
+			taken, tgt = r[l.a&63] != 0, int(l.tgt)
+			goto xfer
+		case Bltz:
+			taken, tgt = int32(r[l.a&63]) < 0, int(l.tgt)
+			goto xfer
+		case Blez:
+			taken, tgt = int32(r[l.a&63]) <= 0, int(l.tgt)
+			goto xfer
+		case Bgtz:
+			taken, tgt = int32(r[l.a&63]) > 0, int(l.tgt)
+			goto xfer
+		case Bgez:
+			taken, tgt = int32(r[l.a&63]) >= 0, int(l.tgt)
+			goto xfer
+		case J:
+			taken, tgt = true, int(l.tgt)
+			goto xfer
+		case Jal:
+			r[l.d&63] = uint32(l.imm)
+			taken, tgt = true, int(l.tgt)
+			goto xfer
+		case Jr, Jalr:
+			// An indirect target is a runtime code address: an OmniVM
+			// index for translated programs, a native index otherwise.
+			// Jalr reads its target before the link write (jalr rd, rd
+			// is legal).
+			v := r[l.a&63]
+			r[l.d&63] = uint32(l.imm)
+			taken, tgt = true, int(int32(v))
+			if o2n != nil {
+				if v >= uint32(len(o2n)) {
+					s.sync(pc, insts, clock, slot)
+					if res, done := s.exception(excBadJump, v, s.Prog.Code[pc].Src, fmt.Sprintf("target/%s: bad indirect target %#x", name, v)); done {
+						return res, nil
+					}
+					pc = int(s.pc)
+					continue
+				}
+				tgt = int(o2n[v])
+			}
+			goto xfer
+
+		// System. In a delay slot, where no control transfer may be,
+		// Break and Halt do nothing.
 		case Syscall:
-			s.account(in)
-			if err := s.Env.Syscall(in.Imm, s); err != nil {
-				return Result{}, fmt.Errorf("target/%s: pc=%d: %w", s.M.Name, s.pc, err)
+			s.sync(pc, insts, clock, slot)
+			if err := s.Env.Syscall(l.imm, s); err != nil {
+				return Result{}, fmt.Errorf("target/%s: pc=%d: %w", name, pc, err)
 			}
 			if s.Env.Exited {
 				return s.result(s.Env.ExitCode, false, ""), nil
 			}
-			s.pc++
 		case Break:
-			s.account(in)
-			if res, done := s.exception(excBreak, uint32(s.pc), in.Src, fmt.Sprintf("target/%s: breakpoint at %d", s.M.Name, s.pc)); done {
-				return res, nil
-			}
-		case Halt:
-			s.account(in)
-			return s.result(int32(s.IntReg(1)), false, ""), nil
-		default:
-			s.account(in)
-			if kind, addr, fault := s.step(in); fault {
-				if res, done := s.exception(kind, addr, in.Src, fmt.Sprintf("target/%s: memory fault at %#x (pc=%d)", s.M.Name, addr, s.pc)); done {
+			if !inSlot {
+				s.sync(pc, insts, clock, slot)
+				if res, done := s.exception(excBreak, uint32(pc), s.Prog.Code[pc].Src, fmt.Sprintf("target/%s: breakpoint at %d", name, pc)); done {
 					return res, nil
 				}
+				pc = int(s.pc)
 				continue
 			}
-			s.pc++
+		case Halt:
+			if !inSlot {
+				s.sync(pc, insts, clock, slot)
+				return s.result(int32(s.IntReg(1)), false, ""), nil
+			}
 		}
-	}
-}
+		pc = npc
+		continue
 
-// resolve evaluates a branch or jump: whether it is taken, its target
-// index, and (for indirect transfers) a pending bad-jump exception.
-func (s *Sim) resolve(in *Inst) (taken bool, tgt int32, excKind, excAddr uint32) {
-	r := &s.r
-	switch in.Op {
-	case Bcc:
-		return s.intCC(in.CC), in.Target, 0, 0
-	case FBcc:
-		return fpCC(in.CC, s.fa, s.fb), in.Target, 0, 0
-	case Beq:
-		return s.reg(in.Rs1) == s.reg(in.Rs2), in.Target, 0, 0
-	case Bne:
-		return s.reg(in.Rs1) != s.reg(in.Rs2), in.Target, 0, 0
-	case Beqz:
-		return s.reg(in.Rs1) == 0, in.Target, 0, 0
-	case Bnez:
-		return s.reg(in.Rs1) != 0, in.Target, 0, 0
-	case Bltz:
-		return int32(s.reg(in.Rs1)) < 0, in.Target, 0, 0
-	case Blez:
-		return int32(s.reg(in.Rs1)) <= 0, in.Target, 0, 0
-	case Bgtz:
-		return int32(s.reg(in.Rs1)) > 0, in.Target, 0, 0
-	case Bgez:
-		return int32(s.reg(in.Rs1)) >= 0, in.Target, 0, 0
-	case J:
-		return true, in.Target, 0, 0
-	case Jal:
-		s.setR(in.Rd, uint32(in.Imm))
-		return true, in.Target, 0, 0
-	case Jr:
-		return s.indirect(r[in.Rs1])
-	case Jalr:
-		v := r[in.Rs1] // read before the link write: jalr rd, rd is legal
-		s.setR(in.Rd, uint32(in.Imm))
-		return s.indirect(v)
-	}
-	return false, 0, 0, 0
-}
-
-// indirect maps a runtime code address (an OmniVM index for translated
-// programs, a native index otherwise) to a native instruction index.
-func (s *Sim) indirect(v uint32) (bool, int32, uint32, uint32) {
-	if o2n := s.Prog.OmniToNative; o2n != nil {
-		if v >= uint32(len(o2n)) {
-			return false, 0, excBadJump, v
+	xfer:
+		// A control transfer; on the delay-slot machines the following
+		// instruction runs first, unless the branch is the last one.
+		if !delay {
+			if !taken {
+				tgt = pc + 1
+			}
+			pc = tgt
+			continue
 		}
-		return true, o2n[v], 0, 0
+		if !taken {
+			tgt = pc + 2
+		}
+		if pc+1 < len(code) {
+			if op := code[pc+1].op; (op >= Bcc && op <= Jalr) || op == Syscall {
+				s.sync(pc, insts, clock, slot)
+				return Result{}, fmt.Errorf("target/%s: control transfer in delay slot at %d", name, pc+1)
+			}
+			pc, npc, inSlot = pc+1, tgt, true
+			goto exec
+		}
+		pc = tgt
+		continue
+
+	storeFault:
+		if trace != nil {
+			trace(fa, storeSize(l.op), true)
+		}
+	fault:
+		s.sync(pc, insts, clock, slot)
+		{
+			desc := fmt.Sprintf("target/%s: memory fault at %#x (pc=%d)", name, fa, pc)
+			if inSlot {
+				desc = fmt.Sprintf("target/%s: fault in delay slot at %d", name, pc)
+			}
+			if res, done := s.exception(fk, fa, s.Prog.Code[pc].Src, desc); done {
+				return res, nil
+			}
+		}
+		pc = int(s.pc)
 	}
-	return true, int32(v), 0, 0
 }
 
-func (s *Sim) intCC(cc CC) bool {
-	a, b := s.ia, s.ib
+func intCC(cc CC, a, b uint32) bool {
 	switch cc {
 	case CCEq:
 		return a == b
@@ -418,216 +741,14 @@ func fpCC(cc CC, a, b float64) bool {
 	return false
 }
 
-// effAddr computes a load/store address.
-func (s *Sim) effAddr(in *Inst) uint32 {
-	if in.Indexed {
-		return s.reg(in.Rs1) + s.reg(in.Rs2)
-	}
-	return s.reg(in.Rs1) + uint32(in.Imm)
-}
-
-// step executes one non-control instruction. It returns a pending
-// exception (kind, addr) with fault=true if a memory access failed or
-// a division trapped.
-func (s *Sim) step(in *Inst) (kind, addr uint32, fault bool) {
-	// The x86 register-memory forms carry ordinary ALU opcodes
-	// (register or immediate form) with a memory operand flag.
-	if in.MemSrc || in.MemDst {
-		return s.memALU(in)
-	}
-	switch in.Op {
-	case Nop:
-
-	// Three-register ALU.
-	case Add:
-		s.setR(in.Rd, s.reg(in.Rs1)+s.reg(in.Rs2))
-	case Sub:
-		s.setR(in.Rd, s.reg(in.Rs1)-s.reg(in.Rs2))
-	case Mul:
-		s.setR(in.Rd, uint32(int32(s.reg(in.Rs1))*int32(s.reg(in.Rs2))))
-	case Div, DivU, Rem, RemU:
-		b := s.reg(in.Rs2)
-		if b == 0 {
-			return excDivZero, 0, true
-		}
-		a := s.reg(in.Rs1)
-		switch in.Op {
-		case Div:
-			s.setR(in.Rd, uint32(int32(a)/int32(b)))
-		case DivU:
-			s.setR(in.Rd, a/b)
-		case Rem:
-			s.setR(in.Rd, uint32(int32(a)%int32(b)))
-		case RemU:
-			s.setR(in.Rd, a%b)
-		}
-	case And:
-		s.setR(in.Rd, s.reg(in.Rs1)&s.reg(in.Rs2))
-	case Or:
-		s.setR(in.Rd, s.reg(in.Rs1)|s.reg(in.Rs2))
-	case Xor:
-		s.setR(in.Rd, s.reg(in.Rs1)^s.reg(in.Rs2))
-	case Sll:
-		s.setR(in.Rd, s.reg(in.Rs1)<<(s.reg(in.Rs2)&31))
-	case Srl:
-		s.setR(in.Rd, s.reg(in.Rs1)>>(s.reg(in.Rs2)&31))
-	case Sra:
-		s.setR(in.Rd, uint32(int32(s.reg(in.Rs1))>>(s.reg(in.Rs2)&31)))
-	case Slt:
-		s.setR(in.Rd, b2u(int32(s.reg(in.Rs1)) < int32(s.reg(in.Rs2))))
-	case Sltu:
-		s.setR(in.Rd, b2u(s.reg(in.Rs1) < s.reg(in.Rs2)))
-
-	// Register-immediate ALU. The x86 MemSrc and MemDst forms reuse
-	// the ALU opcodes with a memory operand.
-	case AddI:
-		s.setR(in.Rd, s.reg(in.Rs1)+uint32(in.Imm))
-	case AndI:
-		s.setR(in.Rd, s.reg(in.Rs1)&uint32(in.Imm))
-	case OrI:
-		s.setR(in.Rd, s.reg(in.Rs1)|uint32(in.Imm))
-	case XorI:
-		s.setR(in.Rd, s.reg(in.Rs1)^uint32(in.Imm))
-	case SllI:
-		s.setR(in.Rd, s.reg(in.Rs1)<<(uint32(in.Imm)&31))
-	case SrlI:
-		s.setR(in.Rd, s.reg(in.Rs1)>>(uint32(in.Imm)&31))
-	case SraI:
-		s.setR(in.Rd, uint32(int32(s.reg(in.Rs1))>>(uint32(in.Imm)&31)))
-	case SltI:
-		s.setR(in.Rd, b2u(int32(s.reg(in.Rs1)) < in.Imm))
-	case SltuI:
-		s.setR(in.Rd, b2u(s.reg(in.Rs1) < uint32(in.Imm)))
-
-	// Constants and moves.
-	case MovI:
-		s.setR(in.Rd, uint32(in.Imm))
-	case Mov:
-		s.setR(in.Rd, s.reg(in.Rs1))
-	case Lui:
-		s.setR(in.Rd, uint32(in.Imm)<<16)
-	case Lea:
-		s.setR(in.Rd, s.reg(in.Rs1)+uint32(in.Imm))
-	case Neg:
-		s.setR(in.Rd, -s.reg(in.Rs1))
-
-	// Memory.
-	case Lb, Lbu, Lh, Lhu, Lw, Lf, Ld, Sb, Sh, Sw, Sf, Sd:
-		return s.mem(in, s.effAddr(in))
-
-	// FP arithmetic: single-precision forms round through float32,
-	// exactly as the interpreter does.
-	case FaddS:
-		s.setF(in.Rd, float64(float32(s.fp(in.Rs1))+float32(s.fp(in.Rs2))))
-	case FsubS:
-		s.setF(in.Rd, float64(float32(s.fp(in.Rs1))-float32(s.fp(in.Rs2))))
-	case FmulS:
-		s.setF(in.Rd, float64(float32(s.fp(in.Rs1))*float32(s.fp(in.Rs2))))
-	case FdivS:
-		s.setF(in.Rd, float64(float32(s.fp(in.Rs1))/float32(s.fp(in.Rs2))))
-	case FaddD:
-		s.setF(in.Rd, s.fp(in.Rs1)+s.fp(in.Rs2))
-	case FsubD:
-		s.setF(in.Rd, s.fp(in.Rs1)-s.fp(in.Rs2))
-	case FmulD:
-		s.setF(in.Rd, s.fp(in.Rs1)*s.fp(in.Rs2))
-	case FdivD:
-		s.setF(in.Rd, s.fp(in.Rs1)/s.fp(in.Rs2))
-	case FnegS:
-		s.setF(in.Rd, float64(-float32(s.fp(in.Rs1))))
-	case FnegD:
-		s.setF(in.Rd, -s.fp(in.Rs1))
-	case FabsS:
-		s.setF(in.Rd, float64(float32(math.Abs(s.fp(in.Rs1)))))
-	case FabsD:
-		s.setF(in.Rd, math.Abs(s.fp(in.Rs1)))
-	case Fmov:
-		s.setF(in.Rd, s.fp(in.Rs1))
-	case MovWF:
-		s.setF(in.Rd, float64(math.Float32frombits(s.reg(in.Rs1))))
-	case MovFW:
-		s.setR(in.Rd, math.Float32bits(float32(s.fp(in.Rs1))))
-
-	case CvtWS:
-		s.setF(in.Rd, float64(float32(int32(s.reg(in.Rs1)))))
-	case CvtWD:
-		s.setF(in.Rd, float64(int32(s.reg(in.Rs1))))
-	case CvtSW:
-		s.setR(in.Rd, uint32(truncToI32(float64(float32(s.fp(in.Rs1))))))
-	case CvtDW:
-		s.setR(in.Rd, uint32(truncToI32(s.fp(in.Rs1))))
-	case CvtSD, CvtDS:
-		s.setF(in.Rd, float64(float32(s.fp(in.Rs1))))
-
-	// Compares latch operands; the CC on the branch decides how they
-	// are interpreted.
-	case Cmp:
-		s.ia, s.ib = s.reg(in.Rs1), s.reg(in.Rs2)
-	case CmpI, CmpUI:
-		s.ia, s.ib = s.reg(in.Rs1), uint32(in.Imm)
-	case Fcmp:
-		s.fa, s.fb = s.fp(in.Rs1), s.fp(in.Rs2)
-	}
-	return 0, 0, false
-}
-
-// mem executes a plain load or store at addr.
-func (s *Sim) mem(in *Inst, addr uint32) (uint32, uint32, bool) {
-	var flt *seg.Fault
-	switch in.Op {
-	case Lb:
-		var v uint8
-		if v, flt = s.Mem.LoadU8(addr); flt == nil {
-			s.setR(in.Rd, uint32(int32(int8(v))))
-		}
-	case Lbu:
-		var v uint8
-		if v, flt = s.Mem.LoadU8(addr); flt == nil {
-			s.setR(in.Rd, uint32(v))
-		}
-	case Lh:
-		var v uint16
-		if v, flt = s.Mem.LoadU16(addr); flt == nil {
-			s.setR(in.Rd, uint32(int32(int16(v))))
-		}
-	case Lhu:
-		var v uint16
-		if v, flt = s.Mem.LoadU16(addr); flt == nil {
-			s.setR(in.Rd, uint32(v))
-		}
-	case Lw:
-		var v uint32
-		if v, flt = s.Mem.LoadU32(addr); flt == nil {
-			s.setR(in.Rd, v)
-		}
-	case Lf:
-		var v uint32
-		if v, flt = s.Mem.LoadU32(addr); flt == nil {
-			s.setF(in.Rd, float64(math.Float32frombits(v)))
-		}
-	case Ld:
-		var v uint64
-		if v, flt = s.Mem.LoadU64(addr); flt == nil {
-			s.setF(in.Rd, math.Float64frombits(v))
-		}
-	case Sb:
-		flt = s.Mem.StoreU8(addr, uint8(s.reg(in.Rd)))
-	case Sh:
-		flt = s.Mem.StoreU16(addr, uint16(s.reg(in.Rd)))
-	case Sw:
-		flt = s.Mem.StoreU32(addr, s.reg(in.Rd))
-	case Sf:
-		flt = s.Mem.StoreU32(addr, math.Float32bits(float32(s.fp(in.Rd))))
-	case Sd:
-		flt = s.Mem.StoreU64(addr, math.Float64bits(s.fp(in.Rd)))
-	}
-	if s.StoreTrace != nil && in.Op.IsStore() {
-		s.StoreTrace(addr, storeSize(in.Op), flt != nil)
-	}
+// checked takes an access the segment window missed through the
+// checked path: the bytes, or nil and the pending exception kind.
+func (s *Sim) checked(addr, n uint32, acc seg.Access) ([]byte, uint32) {
+	b, flt := s.Mem.Span(addr, n, acc)
 	if flt != nil {
-		return faultKind(flt), addr, true
+		return nil, faultKind(flt)
 	}
-	return 0, 0, false
+	return b, 0
 }
 
 // storeSize is the byte width of a store opcode.
@@ -643,36 +764,34 @@ func storeSize(op Op) uint32 {
 	return 4
 }
 
-// memALU executes the x86 register-memory forms: MemSrc computes
-// rd = op(rs1, mem[rs2+imm]); MemDst computes mem[imm] op= operand,
-// where the operand is rs1 or (register-free form) Target.
-func (s *Sim) memALU(in *Inst) (uint32, uint32, bool) {
-	if in.MemSrc {
-		addr := s.reg(in.Rs2) + uint32(in.Imm)
+// memALU executes the x86 register-memory forms: opMemSrc computes
+// rd = sub(rs1, mem[rs2+imm]); opMemDst computes mem[imm] sub= operand,
+// where the operand is rs1 or (register-free form) Target — lowered to
+// rs1 + tgt with the absent half reading zero.
+func (s *Sim) memALU(l *linst) (uint32, uint32) {
+	op := Op(l.sub)
+	if l.op == opMemSrc {
+		addr := s.r[l.b&63] + uint32(l.imm)
 		v, flt := s.Mem.LoadU32(addr)
 		if flt != nil {
-			return faultKind(flt), addr, true
+			return faultKind(flt), addr
 		}
-		s.setR(in.Rd, aluApply(in.Op, s.reg(in.Rs1), v))
-		return 0, 0, false
+		s.r[l.d&63] = aluApply(op, s.r[l.a&63], v)
+		return 0, 0
 	}
-	addr := uint32(in.Imm)
+	addr := uint32(l.imm)
 	v, flt := s.Mem.LoadU32(addr)
 	if flt != nil {
-		return faultKind(flt), addr, true
+		return faultKind(flt), addr
 	}
-	operand := uint32(in.Target)
-	if in.Rs1 != NoReg {
-		operand = s.reg(in.Rs1)
-	}
-	flt = s.Mem.StoreU32(addr, aluApply(in.Op, v, operand))
+	flt = s.Mem.StoreU32(addr, aluApply(op, v, s.r[l.a&63]+uint32(l.tgt)))
 	if s.StoreTrace != nil {
 		s.StoreTrace(addr, 4, flt != nil)
 	}
 	if flt != nil {
-		return faultKind(flt), addr, true
+		return faultKind(flt), addr
 	}
-	return 0, 0, false
+	return 0, 0
 }
 
 // aluApply evaluates a two-operand ALU operation for the

@@ -44,10 +44,10 @@ type Machine struct {
 	// -MaxImm <= v < MaxImm.
 	MaxImm int32
 
-	// Latency is the result latency of an operation in cycles (nil
-	// means 1 for everything). The scheduler and the pipeline
-	// simulator share this table.
-	Latency func(Op) int
+	// Latency is the result latency of each operation in cycles. The
+	// scheduler, the audit's cost bound and the pipeline simulator all
+	// read this one table.
+	Latency [NumOps]uint8
 
 	// IssueWidth is the number of instructions the pipeline can issue
 	// per cycle (1 for MIPS/SPARC, 2 for the 601 and the Pentium).
@@ -98,31 +98,9 @@ func MIPSMachine() *Machine {
 		Scratch:    [2]Reg{24, 25},
 		FScratch:   [2]Reg{48, 49},
 		MaxImm:     32768,
-		Latency:    mipsLatency,
+		Latency:    latencies{Load: 2, Mul: 4, Div: 12, FAdd: 4, FMulS: 7, FMulD: 8, FDivS: 23, FDivD: 36}.table(),
 		IssueWidth: 1,
 	}
-}
-
-func mipsLatency(op Op) int {
-	switch op {
-	case Lb, Lbu, Lh, Lhu, Lw, Lf, Ld:
-		return 2
-	case Mul:
-		return 4
-	case Div, DivU, Rem, RemU:
-		return 12
-	case FaddS, FsubS, FaddD, FsubD, CvtWS, CvtWD, CvtSW, CvtDW, CvtSD, CvtDS:
-		return 4
-	case FmulS:
-		return 7
-	case FmulD:
-		return 8
-	case FdivS:
-		return 23
-	case FdivD:
-		return 36
-	}
-	return 1
 }
 
 // SPARCMachine models a SuperSPARC-class machine: single-issue in our
@@ -152,31 +130,9 @@ func SPARCMachine() *Machine {
 		Scratch:    [2]Reg{6, 7},
 		FScratch:   [2]Reg{48, 49},
 		MaxImm:     4096,
-		Latency:    sparcLatency,
+		Latency:    latencies{Load: 2, Mul: 5, Div: 18, FAdd: 3, FMulS: 3, FMulD: 4, FDivS: 9, FDivD: 12}.table(),
 		IssueWidth: 1,
 	}
-}
-
-func sparcLatency(op Op) int {
-	switch op {
-	case Lb, Lbu, Lh, Lhu, Lw, Lf, Ld:
-		return 2
-	case Mul:
-		return 5
-	case Div, DivU, Rem, RemU:
-		return 18
-	case FaddS, FsubS, FaddD, FsubD, CvtWS, CvtWD, CvtSW, CvtDW, CvtSD, CvtDS:
-		return 3
-	case FmulS:
-		return 3
-	case FmulD:
-		return 4
-	case FdivS:
-		return 9
-	case FdivD:
-		return 12
-	}
-	return 1
 }
 
 // PPCMachine models a PowerPC 601: dual-issue with branch folding, no
@@ -204,32 +160,10 @@ func PPCMachine() *Machine {
 		Scratch:       [2]Reg{19, 20},
 		FScratch:      [2]Reg{48, 49},
 		MaxImm:        32768,
-		Latency:       ppcLatency,
+		Latency:       latencies{Load: 2, Mul: 5, Div: 36, FAdd: 4, FMulS: 4, FMulD: 5, FDivS: 17, FDivD: 31}.table(),
 		IssueWidth:    2,
 		BranchFolding: true,
 	}
-}
-
-func ppcLatency(op Op) int {
-	switch op {
-	case Lb, Lbu, Lh, Lhu, Lw, Lf, Ld:
-		return 2
-	case Mul:
-		return 5
-	case Div, DivU, Rem, RemU:
-		return 36
-	case FaddS, FsubS, FaddD, FsubD, CvtWS, CvtWD, CvtSW, CvtDW, CvtSD, CvtDS:
-		return 4
-	case FmulS:
-		return 4
-	case FmulD:
-		return 5
-	case FdivS:
-		return 17
-	case FdivD:
-		return 31
-	}
-	return 1
 }
 
 // X86Machine models a Pentium: dual-issue U/V pairing with AGI stalls,
@@ -261,28 +195,48 @@ func X86Machine() *Machine {
 		Scratch:    [2]Reg{6, EDI}, // esi, edi
 		FScratch:   [2]Reg{38, 39},
 		MaxImm:     1 << 30, // full imm32; never the limiting factor
-		Latency:    x86Latency,
+		Latency:    latencies{Load: 1, Mul: 10, Div: 25, FAdd: 3, FMulS: 3, FMulD: 3, FDivS: 19, FDivD: 39}.table(),
 		IssueWidth: 2,
 		Pairing:    true,
 	}
 }
 
-func x86Latency(op Op) int {
-	switch op {
-	case Mul:
-		return 10
-	case Div, DivU, Rem, RemU:
-		return 25
-	case FaddS, FsubS, FaddD, FsubD, CvtWS, CvtWD, CvtSW, CvtDW, CvtSD, CvtDS:
-		return 3
-	case FmulS, FmulD:
-		return 3
-	case FdivS:
-		return 19
-	case FdivD:
-		return 39
+// latencies lists a machine's result latencies by operation class;
+// every operation not in a class takes one cycle.
+type latencies struct {
+	Load  uint8 // every load
+	Mul   uint8
+	Div   uint8 // divide and remainder, signed and unsigned
+	FAdd  uint8 // FP add/subtract and every conversion
+	FMulS uint8
+	FMulD uint8
+	FDivS uint8
+	FDivD uint8
+}
+
+func (l latencies) table() [NumOps]uint8 {
+	var t [NumOps]uint8
+	for op := range t {
+		t[op] = 1
 	}
-	return 1
+	for _, c := range []struct {
+		lat uint8
+		ops []Op
+	}{
+		{l.Load, []Op{Lb, Lbu, Lh, Lhu, Lw, Lf, Ld}},
+		{l.Mul, []Op{Mul}},
+		{l.Div, []Op{Div, DivU, Rem, RemU}},
+		{l.FAdd, []Op{FaddS, FsubS, FaddD, FsubD, CvtWS, CvtWD, CvtSW, CvtDW, CvtSD, CvtDS}},
+		{l.FMulS, []Op{FmulS}},
+		{l.FMulD, []Op{FmulD}},
+		{l.FDivS, []Op{FdivS}},
+		{l.FDivD, []Op{FdivD}},
+	} {
+		for _, op := range c.ops {
+			t[op] = c.lat
+		}
+	}
+	return t
 }
 
 // Machines returns the four simulated targets in the paper's order.

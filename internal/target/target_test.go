@@ -1,9 +1,12 @@
 package target
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"omniware/internal/hostapi"
+	"omniware/internal/seg"
 )
 
 func TestMachineDescriptors(t *testing.T) {
@@ -22,8 +25,10 @@ func TestMachineDescriptors(t *testing.T) {
 		if m.IssueWidth < 1 {
 			t.Errorf("%s: issue width %d", m.Name, m.IssueWidth)
 		}
-		if m.Latency == nil {
-			t.Errorf("%s: no latency table", m.Name)
+		for op := Nop; op < NumOps; op++ {
+			if m.Latency[op] == 0 {
+				t.Errorf("%s: %s has no latency", m.Name, op)
+			}
 		}
 		// Every OmniVM register image must be a valid physical register
 		// or explicitly memory-resident; images must not collide with
@@ -118,15 +123,22 @@ func TestRegSaveLayout(t *testing.T) {
 }
 
 // charge runs insts through a machine's pipeline model and returns the
-// cycle count including the final partially-filled issue slot.
+// cycle count including the final partially-filled issue slot. It
+// executes them — over one page of memory at 0 that every address
+// they form lands in — and stops them with the budget.
 func charge(m *Machine, insts []Inst) uint64 {
-	var p pipe
-	p.init(m)
-	for i := range insts {
-		p.issue(&insts[i])
+	var mem seg.Memory
+	if _, err := mem.Map("data", 0, seg.PageSize, seg.Read|seg.Write); err != nil {
+		panic(err)
 	}
-	c := p.clock
-	if p.slot > 0 {
+	env := &hostapi.Env{Layout: &hostapi.Layout{StackTop: 0x100}}
+	s := New(m, &Program{Arch: m.Arch, Code: insts}, &mem, env)
+	s.MaxInsts = uint64(len(insts))
+	if _, err := s.Run(); !errors.Is(err, ErrBudget) {
+		panic(fmt.Sprintf("charge: %v", err))
+	}
+	c := s.clock
+	if s.slot > 0 {
 		c++
 	}
 	return c
