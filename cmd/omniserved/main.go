@@ -15,15 +15,16 @@
 //	           [-audit-caps name,name,...]
 //	           [-debug-addr host:port]
 //	           [-cluster-self URL -cluster-members URL,URL,...]
-//	           [-cluster-secret s] [-cluster-fanout n] [-cluster-hot-k n]
-//	           [-cluster-replicate-ms n]
+//	           [-cluster-secret s] [-cluster-fanout n]
 //
 // With -cluster-members (a static member list shared by every node,
 // including this node's own -cluster-self URL), the daemon joins an
 // omnicluster: translation-cache misses probe the module's ring
-// owners over GET /v1/peer/translation before retranslating, every
-// arriving artifact is re-verified locally before admission, and hot
-// translations are pushed to their owners each replication round.
+// owners over GET /v1/peer/translation before retranslating, stopping
+// at the first copy that verifies — an owner without one translates it
+// on demand. Every arriving artifact is re-verified locally before
+// admission; peer fill is the only way a translation reaches another
+// node.
 // Cluster mode requires a shared peer-auth secret — the same value on
 // every member, via -cluster-secret or the OMNI_CLUSTER_SECRET
 // environment variable (preferred: the environment keeps it out of
@@ -95,8 +96,6 @@ func run(args []string, stderr *os.File) int {
 	clusterSecret := fs.String("cluster-secret", os.Getenv("OMNI_CLUSTER_SECRET"),
 		"shared peer-auth secret, same on every member (default $OMNI_CLUSTER_SECRET); required in cluster mode")
 	clusterFanout := fs.Int("cluster-fanout", 0, "ring owners per module (0 = default 2)")
-	clusterHotK := fs.Int("cluster-hot-k", 0, "hot translations replicated per round (0 = default)")
-	clusterReplicateMs := fs.Int("cluster-replicate-ms", 0, "hot-module replication interval (0 = default, <0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return serve.ExitInfra
 	}
@@ -135,19 +134,13 @@ func run(args []string, stderr *os.File) int {
 				members = append(members, m)
 			}
 		}
-		replicate := time.Duration(*clusterReplicateMs) * time.Millisecond
-		if *clusterReplicateMs < 0 {
-			replicate = -1
-		}
 		var err error
 		peers, err = cluster.New(cluster.Config{
-			Self:           *clusterSelf,
-			Members:        members,
-			Secret:         *clusterSecret,
-			Fanout:         *clusterFanout,
-			HotK:           *clusterHotK,
-			ReplicateEvery: replicate,
-			Logf:           logf,
+			Self:    *clusterSelf,
+			Members: members,
+			Secret:  *clusterSecret,
+			Fanout:  *clusterFanout,
+			Logf:    logf,
 		})
 		if err != nil {
 			logf("%v", err)
@@ -205,11 +198,6 @@ func run(args []string, stderr *os.File) int {
 		logf("%v", err)
 		return serve.ExitInfra
 	}
-	if peers != nil {
-		peers.Start(cache)
-		defer peers.Close()
-	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		logf("%v", err)

@@ -579,35 +579,6 @@ func (a *analysis) analyzeRegion(r *region) {
 		return 0
 	}
 
-	// Intra successors of i (offsets stay inside the region by the
-	// partition fixpoint; anything else is an inter edge handled below).
-	intra := func(i int32) []int32 {
-		in := &text[i]
-		var out []int32
-		fall := func() {
-			if i+1 < r.end {
-				out = append(out, i+1)
-			}
-		}
-		switch {
-		case in.Op.IsBranch():
-			if a.regionOf[in.Imm2] == r.idx {
-				out = append(out, in.Imm2)
-			}
-			fall()
-		case in.Op == ovm.JMP:
-			if in.Imm2 >= 0 && int(in.Imm2) < a.n && a.regionOf[in.Imm2] == r.idx {
-				out = append(out, in.Imm2)
-			}
-		case in.Op == ovm.JR, in.Op == ovm.HALT, in.Op == ovm.BREAK:
-			// Return / indirect tail / stop: no intra successor.
-		default:
-			// JAL and JALR return to the next instruction.
-			fall()
-		}
-		return out
-	}
-
 	// Displacement fixpoint: disp[s] = min over predecessors of
 	// disp[i] + delta(i), Bellman-Ford style. size passes suffice when
 	// every cycle conserves the stack pointer; a relaxation on the
@@ -620,7 +591,7 @@ func (a *analysis) analyzeRegion(r *region) {
 				continue
 			}
 			d := r.disp[i-r.entry] + delta(i)
-			for _, s := range intra(i) {
+			for _, s := range a.intraSuccs(r, i) {
 				so := s - r.entry
 				if r.disp[so] == dispUnset || d < r.disp[so] {
 					r.disp[so] = d
@@ -693,7 +664,7 @@ func (a *analysis) analyzeRegion(r *region) {
 	succs := make([][]int32, size)
 	for i := r.entry; i < r.end; i++ {
 		if r.disp[i-r.entry] != dispUnset {
-			succs[i-r.entry] = intra(i)
+			succs[i-r.entry] = a.intraSuccs(r, i)
 		}
 	}
 	stack := []frame{{node: r.entry}}
@@ -1062,9 +1033,10 @@ func (a *analysis) solveCost(weight []uint64) []CostBound {
 	return out
 }
 
-// intraSuccs mirrors the successor function used during region
-// analysis (kept in lockstep; the cost solver needs it again after
-// region construction).
+// intraSuccs lists the intra-region successors of instruction i, for
+// the region pass and the cost solver alike. Offsets stay inside the
+// region by the partition fixpoint; anything else is an inter edge,
+// which analyzeRegion records separately.
 func (a *analysis) intraSuccs(r *region, i int32) []int32 {
 	in := &a.mod.Text[i]
 	var out []int32
@@ -1084,7 +1056,9 @@ func (a *analysis) intraSuccs(r *region, i int32) []int32 {
 			out = append(out, in.Imm2)
 		}
 	case in.Op == ovm.JR, in.Op == ovm.HALT, in.Op == ovm.BREAK:
+		// Return / indirect tail / stop: no intra successor.
 	default:
+		// JAL and JALR return to the next instruction.
 		fall()
 	}
 	return out

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"time"
 
 	"omniware/internal/mcache"
 	"omniware/internal/netserve"
@@ -19,15 +18,14 @@ import (
 // cluster tests run against; the binary daemons wire the same pieces
 // together from flags.
 type BootConfig struct {
-	Nodes          int // member count (default 3)
-	Fanout         int
-	ReplicateEvery time.Duration // 0 = node default; negative = manual (ReplicateOnce)
-	Workers        int           // per-node worker pool size
-	QueueCap       int           // per-node admission queue cap (0 = default)
-	Rate           float64       // per-client rate limit (0 = netserve default)
-	Burst          float64       // per-client burst allowance
-	Verify         mcache.VerifyMode
-	Logf           func(format string, args ...any)
+	Nodes    int // member count (default 3)
+	Fanout   int
+	Workers  int     // per-node worker pool size
+	QueueCap int     // per-node admission queue cap (0 = default)
+	Rate     float64 // per-client rate limit (0 = netserve default)
+	Burst    float64 // per-client burst allowance
+	Verify   mcache.VerifyMode
+	Logf     func(format string, args ...any)
 }
 
 // Node is one member of an in-process cluster.
@@ -41,11 +39,10 @@ type Node struct {
 	lis     net.Listener
 }
 
-// Close shuts the node down: replicator, HTTP listener, then the
-// worker pool. Idempotent enough for test cleanup (double Close on
-// the HTTP server returns ErrServerClosed, which is ignored).
+// Close shuts the node down: HTTP listener, then the worker pool.
+// Idempotent enough for test cleanup (double Close on the HTTP server
+// returns ErrServerClosed, which is ignored).
 func (n *Node) Close() {
-	n.Peers.Close()
 	_ = n.httpSrv.Close()
 	n.Server.Close()
 }
@@ -123,12 +120,11 @@ func BootLocal(cfg BootConfig) (*Local, error) {
 	l := &Local{}
 	for i := 0; i < cfg.Nodes; i++ {
 		peers, err := New(Config{
-			Self:           members[i],
-			Members:        members,
-			Secret:         secret,
-			Fanout:         cfg.Fanout,
-			ReplicateEvery: cfg.ReplicateEvery,
-			Logf:           cfg.Logf,
+			Self:    members[i],
+			Members: members,
+			Secret:  secret,
+			Fanout:  cfg.Fanout,
+			Logf:    cfg.Logf,
 		})
 		if err != nil {
 			l.Close()
@@ -154,7 +150,6 @@ func BootLocal(cfg BootConfig) (*Local, error) {
 			l.Close()
 			return fail(err)
 		}
-		peers.Start(cache)
 		node := &Node{
 			Addr:    members[i],
 			Server:  srv,

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -33,21 +32,15 @@ type Config struct {
 	// Secret is the shared peer-auth secret (required): every member
 	// must be configured with the same value, and every /v1/peer/*
 	// request carries it. Without it any client reachable on the
-	// listener could push translations or scrape peer state.
+	// listener could make this node translate on demand or scrape peer
+	// state.
 	Secret string
 	// Fanout is how many owners each module hash has on the ring
-	// (default 2): the nodes an exec routes to, a miss peer-fills
-	// from, and replication pushes to.
+	// (default 2): the nodes an exec routes to and a miss peer-fills
+	// from.
 	Fanout int
-	// HotK caps how many of this node's hottest cache entries each
-	// replication round offers to their owners (default 8).
-	HotK int
-	// ReplicateEvery is the replication period (default 2s).
-	// Negative disables the background replicator; ReplicateOnce
-	// still works.
-	ReplicateEvery time.Duration
-	HTTP           *http.Client // peer HTTP client (default: DefaultPeerTimeout-bounded)
-	Logf           func(format string, args ...any)
+	HTTP   *http.Client // peer HTTP client (default: DefaultPeerTimeout-bounded)
+	Logf   func(format string, args ...any)
 }
 
 // peerCounters is one remote member's attribution, updated lock-free
@@ -59,7 +52,6 @@ type peerCounters struct {
 	hits        atomic.Uint64
 	quarantines atomic.Uint64
 	errors      atomic.Uint64
-	pushes      atomic.Uint64
 	reasons     map[string]*atomic.Uint64
 	// lastContact is the unix-nano time this peer last answered
 	// anything — including a clean miss; 0 means never.
@@ -95,31 +87,18 @@ func (pc *peerCounters) quarantine(reason string) {
 
 // Peers is a node's cluster engine: it implements mcache.PeerSource
 // (the translation peer-fill path) and netserve.PeerHooks (the module
-// fetch path), and runs the hot-entry replicator. One Peers is shared
-// by the node's cache and its HTTP handler.
+// fetch path). One Peers is shared by the node's cache and its HTTP
+// handler; it owns no goroutine — every peer call runs on the request
+// that needs it.
 type Peers struct {
 	cfg   Config
 	ring  *Ring
 	stats map[string]*peerCounters // fixed key set: every member but self
 
 	failovers atomic.Uint64
-
-	mu    sync.Mutex
-	cache *mcache.Cache // bound by Start
-	// pushed remembers when each (key, peer) pair was last replicated
-	// so a hot entry is offered to an owner once per pushedTTL, not
-	// once per tick. Entries expire (a peer that restarted and lost
-	// its cache gets re-offered) and the map is capped at pushedMax so
-	// a long-running node's memory stays bounded.
-	pushed map[string]time.Time
-
-	stop    chan struct{}
-	stopped sync.Once
-	wg      sync.WaitGroup
 }
 
-// New validates cfg and builds the node's cluster engine. The
-// returned Peers is inert until Start binds it to the node's cache.
+// New validates cfg and builds the node's cluster engine.
 func New(cfg Config) (*Peers, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: Config.Self is required")
@@ -132,12 +111,6 @@ func New(cfg Config) (*Peers, error) {
 	}
 	if cfg.Fanout <= 0 {
 		cfg.Fanout = 2
-	}
-	if cfg.HotK <= 0 {
-		cfg.HotK = 8
-	}
-	if cfg.ReplicateEvery == 0 {
-		cfg.ReplicateEvery = 2 * time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
@@ -155,13 +128,7 @@ func New(cfg Config) (*Peers, error) {
 	if !self {
 		return nil, fmt.Errorf("cluster: Self %q not in Members %v", cfg.Self, ring.Members())
 	}
-	return &Peers{
-		cfg:    cfg,
-		ring:   ring,
-		stats:  stats,
-		pushed: map[string]time.Time{},
-		stop:   make(chan struct{}),
-	}, nil
+	return &Peers{cfg: cfg, ring: ring, stats: stats}, nil
 }
 
 // Ring exposes the node's ring (clients and CLIs build their own; the
@@ -192,14 +159,16 @@ func isMiss(err error) bool {
 }
 
 // Fetch implements mcache.PeerSource: on a local memory+disk miss,
-// probe the owning peers for an existing translation. Every candidate
-// returned here is still untrusted — the cache re-verifies before
-// admission and reports the outcome through Admitted/Quarantined.
+// probe the module's owners in ring order for an existing translation
+// and offer each copy to the cache's admission gate (accept), stopping
+// at the first one it takes. A cold exec on a non-owner therefore costs
+// one owner fill, not one per owner; the next owner is asked only when
+// the first misses, fails, or serves a copy the gate refuses.
 //
 // A frame that fails to decode, binds a different key, or carries an
-// undecodable program never reaches the cache; it is quarantined here
-// with the same per-peer attribution.
-func (p *Peers) Fetch(key string, org mcache.PeerOrigin) []mcache.PeerCandidate {
+// undecodable program never reaches the gate; it is quarantined here
+// with the same per-peer attribution as a gate refusal.
+func (p *Peers) Fetch(key string, org mcache.PeerOrigin, accept func(*target.Program) (string, error)) *mcache.PeerCandidate {
 	modHash, err := mcache.KeyModuleHash(key)
 	if err != nil {
 		return nil
@@ -208,7 +177,6 @@ func (p *Peers) Fetch(key string, org mcache.PeerOrigin) []mcache.PeerCandidate 
 	if err != nil {
 		return nil
 	}
-	var cands []mcache.PeerCandidate
 	for _, peer := range p.Owners(modHash) {
 		if peer == p.cfg.Self {
 			continue
@@ -235,34 +203,19 @@ func (p *Peers) Fetch(key string, org mcache.PeerOrigin) []mcache.PeerCandidate 
 		var prog *target.Program
 		if err == nil {
 			prog, err = wire.DecodeProgram(payload)
-			if err != nil {
-				reason = mcache.QuarantineFrame
-			}
+		}
+		if err == nil {
+			reason, err = accept(prog)
 		}
 		if err != nil {
 			st.quarantine(reason)
-			p.cfg.Logf("cluster: peer %s served a bad translation frame (quarantined, %s): %v", peer, reason, err)
+			p.cfg.Logf("cluster: translation from peer %s for %s quarantined (%s): %v", peer, key, reason, err)
 			continue
 		}
-		cands = append(cands, mcache.PeerCandidate{Prog: prog, Peer: peer, Remote: remote})
-	}
-	return cands
-}
-
-// Admitted implements mcache.PeerSource: a peer candidate passed the
-// local verifier and was admitted.
-func (p *Peers) Admitted(key, peer string) {
-	if st := p.stats[peer]; st != nil {
 		st.hits.Add(1)
+		return &mcache.PeerCandidate{Prog: prog, Peer: peer, Remote: remote}
 	}
-}
-
-// Quarantined implements mcache.PeerSource: a peer candidate failed
-// the local admission gate (verifier refusal or spot-check mismatch);
-// reason is one of the mcache.Quarantine* constants.
-func (p *Peers) Quarantined(key, peer, reason string, err error) {
-	p.stats[peer].quarantine(reason)
-	p.cfg.Logf("cluster: translation from peer %s for %s quarantined (%s): %v", peer, key, reason, err)
+	return nil
 }
 
 // FetchModule implements netserve.PeerHooks: pull a module's
@@ -304,133 +257,8 @@ func (p *Peers) FetchModule(hash string, org mcache.PeerOrigin) ([]byte, *trace.
 	return nil, nil, "", "", false
 }
 
-// Start binds the engine to the node's cache and, unless disabled,
-// launches the background replicator.
-func (p *Peers) Start(c *mcache.Cache) {
-	p.mu.Lock()
-	p.cache = c
-	p.mu.Unlock()
-	if p.cfg.ReplicateEvery < 0 {
-		return
-	}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		t := time.NewTicker(p.cfg.ReplicateEvery)
-		defer t.Stop()
-		for {
-			select {
-			case <-p.stop:
-				return
-			case <-t.C:
-				p.ReplicateOnce()
-			}
-		}
-	}()
-}
-
-// Close stops the replicator. Safe to call more than once.
-func (p *Peers) Close() {
-	p.stopped.Do(func() { close(p.stop) })
-	p.wg.Wait()
-}
-
-// ReplicateOnce pushes this node's hottest translations to their ring
-// owners (once per (entry, owner) pair per pushedTTL; refused or
-// failed pushes are retried on a later round). Returns the number of
-// successful pushes.
-// The receiver re-verifies before admission, so replication spreads
-// warmth, never trust.
-func (p *Peers) ReplicateOnce() int {
-	p.mu.Lock()
-	c := p.cache
-	p.mu.Unlock()
-	if c == nil {
-		return 0
-	}
-	pushes := 0
-	for _, hot := range c.Hot(p.cfg.HotK) {
-		modHash, err := mcache.KeyModuleHash(hot.Key)
-		if err != nil {
-			continue
-		}
-		mach, _, _, err := mcache.ParseKey(hot.Key)
-		if err != nil {
-			continue
-		}
-		var payload []byte
-		for _, peer := range p.Owners(modHash) {
-			if peer == p.cfg.Self || p.alreadyPushed(hot.Key, peer) {
-				continue
-			}
-			if payload == nil {
-				prog, ok := c.Peek(hot.Key)
-				if !ok {
-					break // evicted since Hot
-				}
-				if payload, err = wire.EncodeProgram(prog); err != nil {
-					break
-				}
-			}
-			st := p.stats[peer]
-			if err := p.client(peer).PushPeerTranslation(modHash, mach.Name, hot.Key, payload, p.cfg.Self); err != nil {
-				st.errors.Add(1)
-				p.cfg.Logf("cluster: replication push to %s failed: %v", peer, err)
-				continue
-			}
-			st.pushes.Add(1)
-			p.markPushed(hot.Key, peer)
-			pushes++
-		}
-	}
-	return pushes
-}
-
-// pushedTTL is how long a successful push suppresses re-offering the
-// same entry to the same owner; after it a hot entry is pushed again,
-// which revives owners that restarted with a cold cache (the receiver
-// acknowledges pushes it already holds without re-verifying).
-const pushedTTL = 5 * time.Minute
-
-// pushedMax caps the suppression map. Far above HotK × members for any
-// sane config; hitting it drops the oldest records, which only costs
-// an early re-offer.
-const pushedMax = 4096
-
-func (p *Peers) alreadyPushed(key, peer string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	t, ok := p.pushed[key+"\x00"+peer]
-	return ok && time.Since(t) < pushedTTL
-}
-
-func (p *Peers) markPushed(key, peer string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	now := time.Now()
-	p.pushed[key+"\x00"+peer] = now
-	if len(p.pushed) <= pushedMax {
-		return
-	}
-	for k, t := range p.pushed {
-		if now.Sub(t) >= pushedTTL {
-			delete(p.pushed, k)
-		}
-	}
-	for len(p.pushed) > pushedMax {
-		var oldestK string
-		var oldestT time.Time
-		for k, t := range p.pushed {
-			if oldestK == "" || t.Before(oldestT) {
-				oldestK, oldestT = k, t
-			}
-		}
-		delete(p.pushed, oldestK)
-	}
-}
-
 // Snapshot returns the cluster section of the node's metrics: ring
-// membership plus per-peer hit/quarantine/error/push attribution.
+// membership plus per-peer hit/quarantine/error attribution.
 // Wire it into the serving layer with serve.Server.SetClusterSnapshot.
 func (p *Peers) Snapshot() metrics.ClusterSnapshot {
 	snap := metrics.ClusterSnapshot{
@@ -457,7 +285,6 @@ func (p *Peers) Snapshot() metrics.ClusterSnapshot {
 			Quarantines:         st.quarantines.Load(),
 			QuarantinesByReason: byReason,
 			Errors:              st.errors.Load(),
-			Pushes:              st.pushes.Load(),
 			StalenessMs:         staleness,
 		})
 	}

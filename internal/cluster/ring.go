@@ -1,8 +1,8 @@
 // Package cluster shards translation serving across a static set of
 // omniserved instances. Each module hash has a small ordered set of
 // owner nodes on a consistent-hash ring; clients route execs to
-// owners, nodes fill cache misses from the owners before paying for a
-// retranslation, and hot translations are replicated owner-to-owner.
+// owners, and nodes fill cache misses from the owners before paying for
+// a retranslation — the one way a translation crosses nodes.
 //
 // The trust model does not change with clustering: a peer is just
 // another untrusted source of bytes. Modules are content-addressed

@@ -126,7 +126,7 @@ func (s *Store) Put(key string, prog *target.Program) error {
 
 // Has reports whether an entry for key exists, without reading or
 // validating it — the cheap existence probe the cache uses to avoid
-// replacing an already-persisted entry from a replication push.
+// replacing an already-persisted entry with one admitted by key.
 func (s *Store) Has(key string) bool {
 	_, err := os.Stat(s.entryPath(key))
 	return err == nil

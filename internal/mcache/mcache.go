@@ -158,10 +158,6 @@ type entry struct {
 	key  string
 	prog *target.Program
 	size int64
-	// hits counts memory-tier hits on this entry (under the shard
-	// lock); the replication layer reads it through Hot to decide what
-	// is worth pushing to successor peers.
-	hits uint64
 	// stamp is the value of the cache's global use clock at this
 	// entry's last touch. Per-shard lists keep exact recency order
 	// within a shard; stamps order entries across shards so eviction
@@ -331,8 +327,8 @@ func (c *Cache) TranslateTraced(sp *trace.Span, mod *ovm.Module, mach *target.Ma
 // this lookup: memory, coalescing, disk and local translation only.
 // It exists for the peer-serving path — a node filling a probe FROM a
 // peer must not probe its own peers in turn (the ring would recurse),
-// so the on-demand owner fill translates locally and lets replication
-// spread the result.
+// so the on-demand owner fill translates locally; the prober verifies
+// the result on arrival.
 func (c *Cache) TranslateNoPeer(sp *trace.Span, mod *ovm.Module, mach *target.Machine, si translate.SegInfo, opt translate.Options) (*target.Program, bool, error) {
 	return c.translateTraced(sp, mod, mach, si, opt, false)
 }
@@ -351,7 +347,6 @@ func (c *Cache) translateTraced(sp *trace.Span, mod *ovm.Module, mach *target.Ma
 		sh.lru.MoveToFront(el)
 		e := el.Value.(*entry)
 		e.stamp = c.clock.Add(1)
-		e.hits++
 		prog := e.prog
 		sh.mu.Unlock()
 		sp.Set("result", "hit")

@@ -1,21 +1,20 @@
 // Peer-fill support: the cluster layer plugs in as a PeerSource, and
-// the cache treats whatever it returns exactly like the disk tier —
+// the cache treats whatever it offers exactly like the disk tier —
 // candidate bytes that must pass the SFI admission gate before they
 // become visible. The cache never trusts a peer: a candidate that the
 // verifier refuses is counted, reported back for per-peer attribution,
-// and the lookup falls through to the next candidate (or to local
-// translation). The functions in this file are also what a node uses
-// to *serve* its peers (Peek) and to accept replication pushes
-// (AdmitKeyed) — both keyed by the same explicit, versioned cache key
-// the persistent tier uses, so one translation has one name across
-// memory, disk, and the wire.
+// and the source moves on to the next owner (or the lookup falls
+// through to local translation). The functions in this file are also
+// what a node uses to *serve* its peers (Peek) and to install a
+// translation made elsewhere (AdmitKeyed) — both keyed by the same
+// explicit, versioned cache key the persistent tier uses, so one
+// translation has one name across memory, disk, and the wire.
 
 package mcache
 
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 
 	"omniware/internal/target"
@@ -56,7 +55,7 @@ const (
 	QuarantineKeyMismatch    = "key-mismatch"     // frame bound to a different cache key
 	QuarantineHash           = "hash"             // module bytes hash to a different content address
 	QuarantineVerifier       = "verifier-refusal" // SFI admission gate refused the program
-	QuarantineCorrespondence = "correspondence"   // retranslation equality (spot check or push) failed
+	QuarantineCorrespondence = "correspondence"   // retranslation equality (spot check) failed
 )
 
 // QuarantineReasons lists every reason above, in exposition order.
@@ -66,56 +65,46 @@ var QuarantineReasons = []string{
 }
 
 // PeerSource is the cluster hook: on a memory+disk miss the cache asks
-// it for candidates, verifies them here, and reports each verdict back
-// so the source can keep per-peer counters. Implementations must be
-// safe for concurrent use. Fetch returning no candidates is a normal
-// miss; transport errors are the source's business (they look like a
-// miss here).
+// it for a translation of key and passes its admission gate as accept.
+// The source offers its peers' copies to accept one at a time, in its
+// own probe order, and returns the first one accept takes — nil when
+// none did, which is a normal miss. accept refuses a copy with one of
+// the Quarantine* reasons and the gate's error, so the source can keep
+// per-peer counters; transport errors are the source's business (they
+// look like a miss here). Implementations must be safe for concurrent
+// use.
 type PeerSource interface {
-	Fetch(key string, org PeerOrigin) []PeerCandidate
-	// Admitted reports that peer's candidate for key passed
-	// verification and was installed.
-	Admitted(key, peer string)
-	// Quarantined reports that peer's candidate for key was refused by
-	// the admission gate (or the integrity spot check); reason is one
-	// of the Quarantine* constants.
-	Quarantined(key, peer, reason string, err error)
+	Fetch(key string, org PeerOrigin, accept func(*target.Program) (reason string, err error)) *PeerCandidate
 }
 
 // loadFromPeer probes the peer source after a memory and disk miss.
-// Candidates are tried in order; the first to pass the admission gate
-// (and, if due, the integrity spot check) wins. Every refused
-// candidate is quarantined and counted — the lookup degrades to a
-// translation, never to serving unverified code.
+// Each copy the source offers must pass the admission gate (and, if
+// due, the integrity spot check); the first that does wins and the
+// probe stops there. Every refused copy is quarantined and counted —
+// the lookup degrades to a translation, never to serving unverified
+// code.
 func (c *Cache) loadFromPeer(sp *trace.Span, k string, retranslate retranslateFn, mach *target.Machine, si translate.SegInfo) (*target.Program, bool) {
 	psp := sp.Child("peer_fetch")
 	defer psp.End()
 	org := PeerOrigin{TraceID: psp.TraceID(), RequestID: psp.RequestID()}
-	cands := c.peer.Fetch(k, org)
-	psp.Set("candidates", len(cands))
-	for _, cand := range cands {
-		if cand.Prog == nil {
-			continue
-		}
-		err := c.admit(psp, cand.Prog, mach, si)
-		reason := QuarantineVerifier
-		if err == nil {
-			reason = QuarantineCorrespondence
-			err = c.spotCheck(psp, cand.Prog, retranslate)
-		}
-		if err != nil {
+	cand := c.peer.Fetch(k, org, func(prog *target.Program) (string, error) {
+		if err := c.admit(psp, prog, mach, si); err != nil {
 			c.ctr.peerQuarantines.Add(1)
-			c.peer.Quarantined(k, cand.Peer, reason, err)
-			c.logf("mcache: peer %s candidate for %q quarantined (%s): %v", cand.Peer, k, reason, err)
-			continue
+			return QuarantineVerifier, err
 		}
-		c.ctr.peerHits.Add(1)
-		c.peer.Admitted(k, cand.Peer)
-		psp.Set("peer", cand.Peer)
-		psp.AttachRemote(cand.Remote, cand.Peer)
-		return cand.Prog, true
+		if err := c.spotCheck(psp, prog, retranslate); err != nil {
+			c.ctr.peerQuarantines.Add(1)
+			return QuarantineCorrespondence, err
+		}
+		return "", nil
+	})
+	if cand == nil {
+		return nil, false
 	}
-	return nil, false
+	c.ctr.peerHits.Add(1)
+	psp.Set("peer", cand.Peer)
+	psp.AttachRemote(cand.Remote, cand.Peer)
+	return cand.Prog, true
 }
 
 // retranslateFn re-derives the translation locally for the integrity
@@ -142,8 +131,9 @@ func (c *Cache) spotCheck(sp *trace.Span, got *target.Program, retranslate retra
 }
 
 // correspond is the correspondence check itself: retranslate locally
-// and demand instruction-for-instruction equality. Run on every
-// replication push (AdmitKeyed) and on sampled peer fills (spotCheck).
+// and demand instruction-for-instruction equality. Run by AdmitKeyed
+// whenever it is given a retranslate function, and on sampled peer
+// fills (spotCheck).
 func (c *Cache) correspond(sp *trace.Span, got *target.Program, retranslate retranslateFn) error {
 	c.ctr.peerSpotChecks.Add(1)
 	local, err := retranslate()
@@ -163,20 +153,15 @@ func (c *Cache) correspond(sp *trace.Span, got *target.Program, retranslate retr
 }
 
 // Peek returns the verified program stored under key, if any, checking
-// the memory tier and then the persistent tier. It is the peer-serving
-// read: no translation, no verification (the *receiving* node verifies
-// on arrival — these bytes are never executed here), no miss
-// accounting, and no recency touch, so a scan by peers cannot distort
-// the local LRU.
-func (c *Cache) Peek(key string) (*target.Program, bool) {
-	prog, _, ok := c.PeekTier(key)
-	return prog, ok
-}
-
-// PeekTier is Peek plus the tier that satisfied it ("memory" or
-// "disk") — peer-serving handlers annotate their remote span with it so
-// the origin's stitched trace shows where the bytes actually lived.
-func (c *Cache) PeekTier(key string) (*target.Program, string, bool) {
+// the memory tier and then the persistent tier, plus the tier that
+// satisfied it ("memory" or "disk") — peer-serving handlers annotate
+// their remote span with it so the origin's stitched trace shows where
+// the bytes actually lived. It is the peer-serving read: no
+// translation, no verification (the *receiving* node verifies on
+// arrival — these bytes are never executed here), no miss accounting,
+// and no recency touch, so a scan by peers cannot distort the local
+// LRU.
+func (c *Cache) Peek(key string) (*target.Program, string, bool) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
 	if el, ok := sh.byKey[key]; ok {
@@ -195,23 +180,22 @@ func (c *Cache) PeekTier(key string) (*target.Program, string, bool) {
 	return prog, "disk", true
 }
 
-// AdmitKeyed verifies and installs a translation under an explicit
-// cache key — the replication-push receive path. The key is parsed
-// back into the machine and segment shape the program claims to target
-// so the admission gate checks it against the right policy; a key that
-// does not parse, names an unknown machine, or carries a program the
-// verifier refuses is rejected outright.
+// AdmitKeyed verifies and installs a translation made elsewhere under
+// an explicit cache key. The key is parsed back into the machine and
+// segment shape the program claims to target so the admission gate
+// checks it against the right policy; a key that does not parse, names
+// an unknown machine, or carries a program the verifier refuses is
+// rejected outright.
 //
-// Pushes are unsolicited, so containment alone is not enough: when
-// retranslate is non-nil the correspondence check runs on EVERY push
-// (not sampled like the fetch path) — a sandboxed-but-semantically-
-// wrong program is refused, counted, and never installed. Callers that
-// cannot produce a retranslate function (no module at hand) should
-// refuse the push instead of passing nil.
+// Containment alone does not prove the program is the translation its
+// key names, so when retranslate is non-nil the correspondence check
+// runs on every call (not sampled like the peer-fill path) — a
+// sandboxed-but-semantically-wrong program is refused, counted, and
+// never installed.
 //
 // The disk tier is written only when it has no entry for the key yet:
-// a push must never replace a translation this node already verified
-// and persisted.
+// an admission must never replace a translation this node already
+// verified and persisted.
 func (c *Cache) AdmitKeyed(k string, prog *target.Program, retranslate func() (*target.Program, error)) error {
 	mach, si, opt, err := ParseKey(k)
 	if err != nil {
@@ -273,40 +257,4 @@ func KeyModuleHash(k string) (string, error) {
 		return "", fmt.Errorf("mcache: unparseable cache key %q", k)
 	}
 	return parts[1], nil
-}
-
-// HotEntry is one memory-tier entry with its shard-local hit count —
-// the replication layer's raw material.
-type HotEntry struct {
-	Key  string
-	Hits uint64
-}
-
-// Hot returns up to k entries ordered by descending hit count,
-// counting only entries that have actually been hit (an entry nobody
-// asked for twice is not worth replicating). k <= 0 returns all hit
-// entries.
-func (c *Cache) Hot(k int) []HotEntry {
-	var out []HotEntry
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for el := sh.lru.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*entry)
-			if e.hits > 0 {
-				out = append(out, HotEntry{Key: e.key, Hits: e.hits})
-			}
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hits != out[j].Hits {
-			return out[i].Hits > out[j].Hits
-		}
-		return out[i].Key < out[j].Key
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
 }

@@ -14,8 +14,9 @@ import (
 	"omniware/internal/translate"
 )
 
-// fakePeers is an in-process PeerSource: a map of candidate lists plus
-// the attribution callbacks recorded for inspection.
+// fakePeers is an in-process PeerSource: a map of candidate lists,
+// offered in order until one is accepted, plus the gate's verdicts
+// recorded for inspection.
 type fakePeers struct {
 	mu          sync.Mutex
 	cands       map[string][]mcache.PeerCandidate
@@ -24,23 +25,25 @@ type fakePeers struct {
 	origins     []mcache.PeerOrigin
 }
 
-func (f *fakePeers) Fetch(key string, org mcache.PeerOrigin) []mcache.PeerCandidate {
+func (f *fakePeers) Fetch(key string, org mcache.PeerOrigin, accept func(*target.Program) (string, error)) *mcache.PeerCandidate {
 	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.origins = append(f.origins, org)
-	return f.cands[key]
-}
-
-func (f *fakePeers) Admitted(key, peer string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.admitted = append(f.admitted, key+"@"+peer)
-}
-
-func (f *fakePeers) Quarantined(key, peer, reason string, err error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.quarantined = append(f.quarantined, key+"@"+peer+"/"+reason)
+	cands := f.cands[key]
+	f.mu.Unlock()
+	for i := range cands {
+		reason, err := accept(cands[i].Prog)
+		f.mu.Lock()
+		if err != nil {
+			f.quarantined = append(f.quarantined, key+"@"+cands[i].Peer+"/"+reason)
+		} else {
+			f.admitted = append(f.admitted, key+"@"+cands[i].Peer)
+		}
+		f.mu.Unlock()
+		if err == nil {
+			return &cands[i]
+		}
+	}
+	return nil
 }
 
 func stripSandboxMask(t *testing.T, prog *target.Program, m *target.Machine) {
@@ -157,7 +160,8 @@ func TestPeerQuarantine(t *testing.T) {
 
 // TestPeerSecondCandidateWins: the first (bad) candidate is
 // quarantined and the next owner's honest copy is admitted — the
-// probe order degrades per candidate, not per lookup.
+// probe order degrades per candidate, not per lookup — and nothing
+// after the first accepted copy is offered.
 func TestPeerSecondCandidateWins(t *testing.T) {
 	mod := buildMod(t, prog1)
 	m := target.MIPSMachine()
@@ -175,7 +179,7 @@ func TestPeerSecondCandidateWins(t *testing.T) {
 	stripSandboxMask(t, bad, m)
 	k := mcache.Key(mod, m, si, opt)
 	peers := &fakePeers{cands: map[string][]mcache.PeerCandidate{
-		k: {{Prog: bad, Peer: "evil"}, {Prog: good, Peer: "honest"}},
+		k: {{Prog: bad, Peer: "evil"}, {Prog: good, Peer: "honest"}, {Prog: good, Peer: "unasked"}},
 	}}
 	c := mcache.NewWith(mcache.Config{Peer: peers})
 
@@ -189,6 +193,9 @@ func TestPeerSecondCandidateWins(t *testing.T) {
 	s := c.Stats()
 	if s.PeerHits != 1 || s.PeerQuarantines != 1 || s.Misses != 0 {
 		t.Errorf("stats %+v", s)
+	}
+	if len(peers.admitted) != 1 || peers.admitted[0] != k+"@honest" {
+		t.Errorf("admission attribution %v", peers.admitted)
 	}
 }
 
@@ -255,11 +262,11 @@ func TestParseKeyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPeekAndAdmitKeyed covers the peer-serving read and the
-// replication-push write: Peek exposes what is stored without
-// verifying or touching recency; AdmitKeyed re-verifies a pushed
-// program against the policy its key encodes and, when a retranslate
-// function is supplied, demands correspondence on every push.
+// TestPeekAndAdmitKeyed covers the peer-serving read and the keyed
+// write: Peek exposes what is stored without verifying or touching
+// recency; AdmitKeyed re-verifies a program made elsewhere against the
+// policy its key encodes and, when a retranslate function is supplied,
+// demands correspondence on every call.
 func TestPeekAndAdmitKeyed(t *testing.T) {
 	mod := buildMod(t, prog1)
 	m := target.MIPSMachine()
@@ -275,17 +282,17 @@ func TestPeekAndAdmitKeyed(t *testing.T) {
 	}
 
 	c := mcache.New(0)
-	if _, ok := c.Peek(k); ok {
+	if _, _, ok := c.Peek(k); ok {
 		t.Fatal("Peek hit on an empty cache")
 	}
 	if err := c.AdmitKeyed(k, prog, retranslate); err != nil {
-		t.Fatalf("honest push rejected: %v", err)
+		t.Fatalf("honest admission rejected: %v", err)
 	}
-	if got, ok := c.Peek(k); !ok || got != prog {
-		t.Error("Peek does not see the pushed entry")
+	if got, tier, ok := c.Peek(k); !ok || got != prog || tier != "memory" {
+		t.Error("Peek does not see the admitted entry")
 	}
 	if s := c.Stats(); s.SpotChecks != 1 || s.SpotCheckFails != 0 {
-		t.Errorf("push correspondence not checked: %+v", s)
+		t.Errorf("correspondence not checked: %+v", s)
 	}
 
 	tampered, err := translate.Translate(mod, m, si, opt)
@@ -296,20 +303,20 @@ func TestPeekAndAdmitKeyed(t *testing.T) {
 	c2 := mcache.New(0)
 	err = c2.AdmitKeyed(k, tampered, retranslate)
 	if err == nil || !strings.Contains(err.Error(), "admission rejected") {
-		t.Fatalf("tampered push admitted: %v", err)
+		t.Fatalf("tampered program admitted: %v", err)
 	}
-	if _, ok := c2.Peek(k); ok {
-		t.Error("tampered push visible via Peek")
+	if _, _, ok := c2.Peek(k); ok {
+		t.Error("tampered program visible via Peek")
 	}
 	if err := c2.AdmitKeyed("not-a-key", prog, retranslate); err == nil {
 		t.Error("unparseable key accepted")
 	}
 }
 
-// TestAdmitKeyedCorrespondence: a pushed program that PASSES the SFI
+// TestAdmitKeyedCorrespondence: a keyed program that PASSES the SFI
 // gate (it is contained) but is not the translation of the module its
-// key names must be refused by the push-path correspondence check —
-// this runs on every push, not sampled like the fetch path.
+// key names must be refused by the correspondence check — this runs on
+// every AdmitKeyed call, not sampled like the fetch path.
 func TestAdmitKeyedCorrespondence(t *testing.T) {
 	mod := buildMod(t, prog1)
 	m := target.MIPSMachine()
@@ -330,10 +337,10 @@ func TestAdmitKeyedCorrespondence(t *testing.T) {
 		return translate.Translate(mod, m, si, opt)
 	})
 	if err == nil || !strings.Contains(err.Error(), "spot check") {
-		t.Fatalf("sandboxed-but-wrong push admitted: %v", err)
+		t.Fatalf("sandboxed-but-wrong program admitted: %v", err)
 	}
-	if _, ok := c.Peek(k); ok {
-		t.Error("wrong push visible via Peek")
+	if _, _, ok := c.Peek(k); ok {
+		t.Error("wrong program visible via Peek")
 	}
 	s := c.Stats()
 	if s.SpotChecks != 1 || s.SpotCheckFails != 1 || s.PeerQuarantines != 1 {
@@ -341,9 +348,9 @@ func TestAdmitKeyedCorrespondence(t *testing.T) {
 	}
 }
 
-// TestAdmitKeyedNeverOverwritesDisk: a push for a key the persistent
-// tier already holds must not rewrite the disk entry — a correct
-// persisted translation survives whatever a push later claims.
+// TestAdmitKeyedNeverOverwritesDisk: an AdmitKeyed for a key the
+// persistent tier already holds must not rewrite the disk entry — a
+// correct persisted translation survives whatever a later one claims.
 func TestAdmitKeyedNeverOverwritesDisk(t *testing.T) {
 	mod := buildMod(t, prog1)
 	m := target.MIPSMachine()
@@ -361,13 +368,13 @@ func TestAdmitKeyedNeverOverwritesDisk(t *testing.T) {
 	}
 	c := mcache.NewWith(mcache.Config{Disk: store, Logf: t.Logf})
 	if err := c.AdmitKeyed(k, prog, nil); err != nil {
-		t.Fatalf("first push rejected: %v", err)
+		t.Fatalf("first admission rejected: %v", err)
 	}
 	if !store.Has(k) {
-		t.Fatal("first push not written through")
+		t.Fatal("first admission not written through")
 	}
 
-	// A different-but-contained program pushed to a fresh cache over
+	// A different-but-contained program admitted to a fresh cache over
 	// the same store (retranslate nil so only the disk guard stands
 	// between it and the persisted entry).
 	unsched := opt
@@ -378,44 +385,13 @@ func TestAdmitKeyedNeverOverwritesDisk(t *testing.T) {
 	}
 	c2 := mcache.NewWith(mcache.Config{Disk: store, Logf: t.Logf})
 	if err := c2.AdmitKeyed(k, other, nil); err != nil {
-		t.Fatalf("second push rejected: %v", err)
+		t.Fatalf("second admission rejected: %v", err)
 	}
 	onDisk, err := store.Get(k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(onDisk.Code, prog.Code) {
-		t.Error("push overwrote the persisted entry")
-	}
-}
-
-func TestHotRanking(t *testing.T) {
-	mod := buildMod(t, prog1)
-	other := buildMod(t, `int main(void){ return 7; }`)
-	c := mcache.New(0)
-	si := core.SegInfoFor(mod, core.RunConfig{})
-	sio := core.SegInfoFor(other, core.RunConfig{})
-	opt := translate.Paper(true)
-	m := target.MIPSMachine()
-
-	for i := 0; i < 4; i++ { // 1 miss + 3 hits
-		if _, _, err := c.Translate(mod, m, si, opt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 2; i++ { // 1 miss + 1 hit
-		if _, _, err := c.Translate(other, m, sio, opt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hot := c.Hot(10)
-	if len(hot) != 2 {
-		t.Fatalf("Hot = %v, want 2 entries", hot)
-	}
-	if hot[0].Key != mcache.Key(mod, m, si, opt) || hot[0].Hits != 3 || hot[1].Hits != 1 {
-		t.Errorf("Hot ranking wrong: %v", hot)
-	}
-	if got := c.Hot(1); len(got) != 1 || got[0].Key != hot[0].Key {
-		t.Errorf("Hot(1) = %v", got)
+		t.Error("second admission overwrote the persisted entry")
 	}
 }

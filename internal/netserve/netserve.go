@@ -103,8 +103,8 @@ type Config struct {
 	Peer PeerHooks
 	// PeerAuth is the shared cluster secret every /v1/peer/* request
 	// must present in the X-Omni-Peer-Auth header. Required whenever
-	// Peer is set: the peer surface accepts replication pushes and
-	// bypasses the per-client rate limiter, so it is never exposed
+	// Peer is set: the peer surface translates on demand and bypasses
+	// the per-client rate limiter, so it is never exposed
 	// unauthenticated.
 	PeerAuth string
 }
@@ -187,7 +187,6 @@ func New(cfg Config) (*Handler, error) {
 	if cfg.Peer != nil {
 		h.mux.HandleFunc("GET /v1/peer/module/{hash}", h.peerAuth(h.handlePeerModule))
 		h.mux.HandleFunc("GET /v1/peer/translation/{hash}/{target}", h.peerAuth(h.handlePeerTranslation))
-		h.mux.HandleFunc("POST /v1/peer/translation/{hash}/{target}", h.peerAuth(h.handlePeerPush))
 	}
 	return h, nil
 }

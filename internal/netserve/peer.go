@@ -1,6 +1,7 @@
 // Cluster-facing HTTP surface: the /v1/peer/* endpoints a node serves
-// to its cluster peers, and the client helpers that speak them. The
-// peer protocol is deliberately trust-free in both directions:
+// to its cluster peers, and the client helpers that speak them. Both
+// are reads — a node only ever pulls from its peers, never accepts a
+// translation it did not ask for — and both are trust-free:
 //
 //   - Module fetch is content-addressed — the receiver re-encodes
 //     canonically and checks the hash, so a peer cannot substitute a
@@ -9,11 +10,6 @@
 //     key; the receiver re-runs the SFI verifier before admission
 //     (mcache's peer-fill gate), so a peer cannot inject unverified
 //     code.
-//   - Translation push lands in Cache.AdmitKeyed behind the same
-//     verifier gate PLUS an unconditional correspondence check (the
-//     program must equal the local retranslation of the module), so
-//     replication cannot weaken the contract either — not even with a
-//     sandboxed-but-semantically-wrong program.
 //
 // Trust-free is not authentication-free: every /v1/peer/* request must
 // carry the shared cluster secret (X-Omni-Peer-Auth, Config.PeerAuth),
@@ -28,7 +24,6 @@
 package netserve
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"crypto/subtle"
 	"fmt"
@@ -39,9 +34,7 @@ import (
 	"omniware/internal/mcache"
 	"omniware/internal/scope"
 	"omniware/internal/serve/metrics"
-	"omniware/internal/target"
 	"omniware/internal/trace"
-	"omniware/internal/translate"
 	"omniware/internal/wire"
 )
 
@@ -165,7 +158,7 @@ func (h *Handler) handlePeerTranslation(w http.ResponseWriter, r *http.Request) 
 	tr := h.peerServeTrace("peer_serve", r)
 	sp := tr.Root
 	pk := sp.Child("cache_peek")
-	prog, tier, ok := h.srv.Cache().PeekTier(key)
+	prog, tier, ok := h.srv.Cache().Peek(key)
 	pk.End()
 	if ok {
 		pk.Set("tier", tier)
@@ -210,77 +203,6 @@ func (h *Handler) handlePeerTranslation(w http.ResponseWriter, r *http.Request) 
 	h.finishPeerServe(w, tr, "ok")
 	w.Header().Set("Content-Type", "application/octet-stream")
 	_, _ = w.Write(frame)
-}
-
-// handlePeerPush accepts a hot-entry replication push: an OPF frame
-// whose program is admitted through the cache's verifier gate AND the
-// retranslation correspondence check — the module must be available
-// here (registered, or peer-fetched by content address) so the push
-// can be proved to be the translation of the module it claims, not
-// merely a contained program. A push for a key this node already holds
-// is acknowledged without re-admitting: an existing verified entry is
-// never replaced by a push. A refusal is the pusher's problem to
-// count; the receiving cache's counters record it locally too.
-func (h *Handler) handlePeerPush(w http.ResponseWriter, r *http.Request) {
-	if h.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxPeerFrameBytes))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "reading frame: %v", err)
-		return
-	}
-	key, payload, err := wire.DecodePeerFrame(body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "decoding frame: %v", err)
-		return
-	}
-	hash := r.PathValue("hash")
-	if err := checkPeerKey(key, hash, r.PathValue("target")); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if _, ok := h.srv.Cache().Peek(key); ok {
-		writeJSON(w, http.StatusOK, map[string]bool{"admitted": true})
-		return
-	}
-	prog, err := wire.DecodeProgram(payload)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "decoding program: %v", err)
-		return
-	}
-	h.mu.Lock()
-	ent := h.mods[hash]
-	h.mu.Unlock()
-	var fetchErr error
-	if ent.mod == nil && h.cfg.Peer != nil {
-		ent, _, _, fetchErr = h.fetchModuleViaPeers(hash,
-			mcache.PeerOrigin{RequestID: r.Header.Get(RequestIDHeader)})
-	}
-	if ent.mod == nil {
-		if fetchErr != nil {
-			writeError(w, http.StatusUnprocessableEntity, "%v", fetchErr)
-			return
-		}
-		writeError(w, http.StatusUnprocessableEntity,
-			"module %s not available here; push correspondence cannot be checked", hash)
-		return
-	}
-	mach, si, opt, err := mcache.ParseKey(key)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	retranslate := func() (*target.Program, error) {
-		return translate.Translate(ent.mod, mach, si, opt)
-	}
-	if err := h.srv.Cache().AdmitKeyed(key, prog, retranslate); err != nil {
-		h.cfg.Logf("netserve: push from %s refused: %v", r.Header.Get(PeerHeader), err)
-		writeError(w, http.StatusUnprocessableEntity, "admission refused: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"admitted": true})
 }
 
 // checkPeerKey verifies that a full cache key agrees with the
@@ -361,24 +283,6 @@ func (c *Client) PeerTranslation(hash, targetName, key, from string, org mcache.
 		"?key=" + url.QueryEscape(key)
 	body, remote, _, err := c.rawGet(u, from, org, wire.MaxPeerFrameBytes)
 	return body, remote, err
-}
-
-// PushPeerTranslation replicates one translation to a peer as an OPF
-// frame; the receiver verifies before admission.
-func (c *Client) PushPeerTranslation(hash, targetName, key string, payload []byte, from string) error {
-	frame, err := wire.EncodePeerFrame(key, payload)
-	if err != nil {
-		return err
-	}
-	u := c.Base + "/v1/peer/translation/" + url.PathEscape(hash) + "/" + url.PathEscape(targetName)
-	req, err := http.NewRequest(http.MethodPost, u, bytes.NewReader(frame))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set(PeerHeader, from)
-	req.Header.Set(PeerAuthHeader, c.PeerAuth)
-	return c.do(req, nil)
 }
 
 // rawGet fetches an octet-stream body, converting non-2xx into

@@ -8,10 +8,13 @@ import (
 	"strings"
 	"testing"
 
+	"omniware/internal/core"
 	"omniware/internal/mcache"
 	"omniware/internal/netserve"
 	"omniware/internal/serve"
+	"omniware/internal/target"
 	"omniware/internal/trace"
+	"omniware/internal/translate"
 	"omniware/internal/wire"
 )
 
@@ -33,6 +36,17 @@ func (f *fakeHooks) Members() []string { return nil }
 // trace propagation.
 var noOrg mcache.PeerOrigin
 
+// execKey is the cache key a default /v1/exec of blob on targetName
+// files its translation under — the identity a real peer would probe.
+func execKey(t *testing.T, blob []byte, targetName string) string {
+	t.Helper()
+	mod, err := wire.DecodeModule(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mcache.Key(mod, target.ByName(targetName), core.SegInfoFor(mod, core.RunConfig{}), translate.Paper(true))
+}
+
 // The peer read endpoints: module by content address, translation as
 // an OPF frame bound to its full cache key, both disabled outside
 // cluster mode.
@@ -42,7 +56,7 @@ func TestPeerEndpoints(t *testing.T) {
 		t.Fatal("peer endpoint reachable outside cluster mode")
 	}
 
-	cl, _, srv := startServer(t, serve.Config{Workers: 1}, netserve.Config{Peer: &fakeHooks{}})
+	cl, _, _ := startServer(t, serve.Config{Workers: 1}, netserve.Config{Peer: &fakeHooks{}})
 	blob := buildBlob(t, `int main(void){ return 9; }`)
 	up, err := cl.Upload(blob)
 	if err != nil {
@@ -59,18 +73,11 @@ func TestPeerEndpoints(t *testing.T) {
 		t.Error("unknown module served")
 	}
 
-	// Two execs warm the cache and give the entry a hit count, so Hot
-	// exposes its full key — the identity a real peer would probe.
-	for i := 0; i < 2; i++ {
-		if _, err := cl.Exec(netserve.ExecRequest{Module: up.Hash, Target: "mips"}); err != nil {
-			t.Fatal(err)
-		}
+	// An exec warms the cache, so the translation is served as stored.
+	if _, err := cl.Exec(netserve.ExecRequest{Module: up.Hash, Target: "mips"}); err != nil {
+		t.Fatal(err)
 	}
-	hot := srv.Cache().Hot(1)
-	if len(hot) != 1 {
-		t.Fatalf("no hot entry after execs: %v", hot)
-	}
-	key := hot[0].Key
+	key := execKey(t, blob, "mips")
 
 	frame, _, err := cl.PeerTranslation(up.Hash, "mips", key, "test", noOrg)
 	if err != nil {
@@ -99,76 +106,11 @@ func TestPeerEndpoints(t *testing.T) {
 	}
 }
 
-// The replication push path: an honest frame is admitted through the
-// verifier gate AND the correspondence check on the receiving node
-// (which peer-fetches the module if it never saw the upload); a
-// tampered one is refused and nothing becomes visible, and a receiver
-// that cannot obtain the module refuses the push outright.
-func TestPeerPush(t *testing.T) {
-	blob := buildBlob(t, `int main(void){ return 3; }`)
-	hash := wire.Hash(blob)
-	withMod := func() *fakeHooks { return &fakeHooks{mods: map[string][]byte{hash: blob}} }
-
-	clA, _, srvA := startServer(t, serve.Config{Workers: 1}, netserve.Config{Peer: &fakeHooks{}})
-	clB, _, srvB := startServer(t, serve.Config{Workers: 1}, netserve.Config{Peer: withMod()})
-
-	up, err := clA.Upload(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := clA.Exec(netserve.ExecRequest{Module: up.Hash, Target: "mips"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	key := srvA.Cache().Hot(1)[0].Key
-	prog, ok := srvA.Cache().Peek(key)
-	if !ok {
-		t.Fatal("source cache lost the entry")
-	}
-	payload, err := wire.EncodeProgram(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := clB.PushPeerTranslation(up.Hash, "mips", key, payload, "node-a"); err != nil {
-		t.Fatalf("honest push refused: %v", err)
-	}
-	if _, ok := srvB.Cache().Peek(key); !ok {
-		t.Error("pushed translation not visible on receiver")
-	}
-
-	// Tampered payload: flip bytes inside the program encoding. The
-	// OPF frame is re-framed honestly (the pusher controls framing),
-	// so only the verifier stands between the payload and the cache.
-	clC, _, srvC := startServer(t, serve.Config{Workers: 1}, netserve.Config{Peer: withMod()})
-	bad := append([]byte(nil), payload...)
-	bad[len(bad)/2] ^= 0xff
-	if err := clC.PushPeerTranslation(up.Hash, "mips", key, bad, "node-a"); err == nil {
-		t.Fatal("tampered push accepted")
-	}
-	if _, ok := srvC.Cache().Peek(key); ok {
-		t.Error("tampered push visible on receiver")
-	}
-
-	// A receiver that cannot obtain the module (not registered, peers
-	// don't have it) refuses even an honest push: without the module
-	// there is no correspondence check, and an unchecked push is an
-	// injection vector.
-	clD, _, srvD := startServer(t, serve.Config{Workers: 1}, netserve.Config{Peer: &fakeHooks{}})
-	if err := clD.PushPeerTranslation(up.Hash, "mips", key, payload, "node-a"); err == nil ||
-		!strings.Contains(err.Error(), "correspondence") {
-		t.Fatalf("push without module not refused: %v", err)
-	}
-	if _, ok := srvD.Cache().Peek(key); ok {
-		t.Error("uncheckable push visible on receiver")
-	}
-}
-
 // Every /v1/peer/* endpoint requires the shared cluster secret: a
 // request with a missing or wrong secret is refused with 401 before
 // any decoding or verification work, and a handler cannot even be
-// built in cluster mode without one.
+// built in cluster mode without one. The peer surface is read-only:
+// nothing accepts a translation a node did not ask for.
 func TestPeerAuthRequired(t *testing.T) {
 	bare := serve.New(serve.Config{Workers: 1})
 	defer bare.Close()
@@ -176,18 +118,13 @@ func TestPeerAuthRequired(t *testing.T) {
 		t.Fatal("cluster-mode handler built without PeerAuth")
 	}
 
-	cl, _, srv := startServer(t, serve.Config{Workers: 1}, netserve.Config{Peer: &fakeHooks{}})
+	cl, _, _ := startServer(t, serve.Config{Workers: 1}, netserve.Config{Peer: &fakeHooks{}})
 	blob := buildBlob(t, `int main(void){ return 8; }`)
 	up, err := cl.Upload(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := cl.Exec(netserve.ExecRequest{Module: up.Hash, Target: "mips"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	key := srv.Cache().Hot(1)[0].Key
+	key := execKey(t, blob, "mips")
 
 	for _, secret := range []string{"", "wrong-secret"} {
 		bad := &netserve.Client{Base: cl.Base, PeerAuth: secret}
@@ -201,9 +138,20 @@ func TestPeerAuthRequired(t *testing.T) {
 		if _, _, err := bad.PeerTranslation(up.Hash, "mips", key, "x", noOrg); !is401(err) {
 			t.Errorf("PeerTranslation with secret %q: %v, want 401", secret, err)
 		}
-		if err := bad.PushPeerTranslation(up.Hash, "mips", key, []byte("junk"), "x"); !is401(err) {
-			t.Errorf("PushPeerTranslation with secret %q: %v, want 401", secret, err)
-		}
+	}
+
+	req, err := http.NewRequest(http.MethodPost, cl.Base+"/v1/peer/translation/"+up.Hash+"/mips", strings.NewReader("junk"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(netserve.PeerAuthHeader, testPeerSecret)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST to the translation path with the right secret: status %d, want 405", resp.StatusCode)
 	}
 }
 

@@ -87,14 +87,14 @@ func RenderTop(cur, prev *Fleet, dt time.Duration) string {
 	}
 
 	if f.Cluster != nil && len(f.Cluster.Peers) > 0 {
-		fmt.Fprintf(&b, "\n%-28s %6s %6s %6s %7s %10s\n", "peer (fleet-merged)", "hits", "quar", "errs", "pushes", "staleness")
+		fmt.Fprintf(&b, "\n%-28s %6s %6s %6s %10s\n", "peer (fleet-merged)", "hits", "quar", "errs", "staleness")
 		for _, p := range f.Cluster.Peers {
 			stale := "never"
 			if p.StalenessMs >= 0 {
 				stale = (time.Duration(p.StalenessMs) * time.Millisecond).String()
 			}
-			fmt.Fprintf(&b, "%-28s %6d %6d %6d %7d %10s\n",
-				p.Peer, p.Hits, p.Quarantines, p.Errors, p.Pushes, stale)
+			fmt.Fprintf(&b, "%-28s %6d %6d %6d %10s\n",
+				p.Peer, p.Hits, p.Quarantines, p.Errors, stale)
 			if reasons := nonzeroReasons(p.QuarantinesByReason); reasons != "" {
 				fmt.Fprintf(&b, "%-28s %s\n", "", reasons)
 			}

@@ -49,8 +49,8 @@ run                 5      4.1ms    54.61ms    54.61ms
 target         jobs          insts   sandbox%
 mips             44           1000     12.50%
 
-peer (fleet-merged)            hits   quar   errs  pushes  staleness
-http://b:1                        2      1      0       0       1.5s
+peer (fleet-merged)            hits   quar   errs  staleness
+http://b:1                        2      1      0       1.5s
                              quarantines: hash=1
 `
 	const interval = `omniscope  origin=http://a:1  nodes=1 up / 1 down  window=last 2s
@@ -63,8 +63,8 @@ run                 3    43.69ms    54.61ms    54.61ms
 target         jobs          insts   sandbox%
 mips             44           1000     12.50%
 
-peer (fleet-merged)            hits   quar   errs  pushes  staleness
-http://b:1                        2      1      0       0       1.5s
+peer (fleet-merged)            hits   quar   errs  staleness
+http://b:1                        2      1      0       1.5s
                              quarantines: hash=1
 `
 	if got := RenderTop(cur, nil, 0); got != lifetime {

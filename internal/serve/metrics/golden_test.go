@@ -108,7 +108,7 @@ func fixtureSnapshot(n uint64) Snapshot {
 			Failovers: 7 + n,
 			Peers: []PeerStats{
 				{
-					Peer: "http://10.0.0.2:8080", Hits: 15 + n, Quarantines: 5, Errors: 1, Pushes: 6 + n,
+					Peer: "http://10.0.0.2:8080", Hits: 15 + n, Quarantines: 5, Errors: 1,
 					QuarantinesByReason: map[string]uint64{"frame": 1, "key-mismatch": 0, "hash": 2 + n, "verifier-refusal": 1, "correspondence": 1},
 					StalenessMs:         250 - int64(100*n),
 				},

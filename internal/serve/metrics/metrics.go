@@ -183,7 +183,6 @@ type PeerStats struct {
 	Hits        uint64 `json:"hits"`        // translations admitted from this peer
 	Quarantines uint64 `json:"quarantines"` // candidates from this peer the gate refused
 	Errors      uint64 `json:"errors"`      // transport/protocol failures probing this peer
-	Pushes      uint64 `json:"pushes"`      // hot-entry replications sent to this peer
 
 	// QuarantinesByReason splits Quarantines by the closed reason set
 	// (mcache.QuarantineReasons). Every reason is pre-registered at

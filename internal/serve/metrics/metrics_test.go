@@ -253,8 +253,8 @@ func TestClusterSection(t *testing.T) {
 		Members:   []string{"http://a:1", "http://b:2", "http://c:3"},
 		Failovers: 2,
 		Peers: []PeerStats{
-			{Peer: "http://b:2", Hits: 3, Quarantines: 1, Errors: 0, Pushes: 4},
-			{Peer: "http://c:3", Hits: 0, Quarantines: 0, Errors: 2, Pushes: 0},
+			{Peer: "http://b:2", Hits: 3, Quarantines: 1, Errors: 0},
+			{Peer: "http://c:3", Hits: 0, Quarantines: 0, Errors: 2},
 		},
 	}
 	text := s.Text()
@@ -262,7 +262,7 @@ func TestClusterSection(t *testing.T) {
 		"cache_peer_hits    3",
 		"cluster_failovers  2",
 		"cluster_members    3",
-		"cluster_peer http://b:2     hits=3 quarantines=1 errors=0 pushes=4",
+		"cluster_peer http://b:2     hits=3 quarantines=1 errors=0 staleness_ms=0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("text missing %q:\n%s", want, text)

@@ -126,5 +126,4 @@ var peerCounters = [...]struct {
 	{name: "quarantines", help: "Peer candidates quarantined by supplying peer and reason.", field: func(p *PeerStats) *uint64 { return &p.Quarantines },
 		split: func(p *PeerStats) map[string]uint64 { return p.QuarantinesByReason }},
 	{name: "errors", help: "Transport or protocol failures probing a peer.", field: func(p *PeerStats) *uint64 { return &p.Errors }},
-	{name: "pushes", help: "Hot-entry replications sent to a peer.", field: func(p *PeerStats) *uint64 { return &p.Pushes }},
 }

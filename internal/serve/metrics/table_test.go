@@ -141,7 +141,7 @@ func TestSubIsTheInterval(t *testing.T) {
 		t.Errorf("failovers: interval %d, want %d", iv.Cluster.Failovers, grown.Cluster.Failovers)
 	}
 	p, want := iv.Cluster.Peers[0], grown.Cluster.Peers[0]
-	if p.Hits != want.Hits || p.Pushes != want.Pushes || p.QuarantinesByReason["hash"] != want.QuarantinesByReason["hash"] {
+	if p.Hits != want.Hits || p.Quarantines != want.Quarantines || p.QuarantinesByReason["hash"] != want.QuarantinesByReason["hash"] {
 		t.Errorf("peer %s: interval %+v, want %+v", p.Peer, p, want)
 	}
 	if p.StalenessMs != after.Cluster.Peers[0].StalenessMs {

@@ -1,12 +1,14 @@
 package target_test
 
 import (
-	"bytes"
+	"crypto/sha256"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -15,7 +17,6 @@ import (
 	"omniware/internal/bench"
 	"omniware/internal/cc"
 	"omniware/internal/core"
-	"omniware/internal/coretest"
 	"omniware/internal/ovm"
 	"omniware/internal/seg"
 	"omniware/internal/sfi"
@@ -23,13 +24,18 @@ import (
 	"omniware/internal/translate"
 )
 
-// TestSimMatchesReference holds the lowered executor to the
-// Inst-at-a-time one it replaced (ref_test.go), instruction for
+var update = flag.Bool("update", false, "rewrite testdata/reference.golden from the current executor")
+
+// referenceGolden holds one line per case: the outcome the
+// Inst-at-a-time executor the lowered one replaced recorded for it.
+const referenceGolden = "testdata/reference.golden"
+
+// TestSimMatchesReference holds the lowered executor to the recorded
+// outcomes of the Inst-at-a-time executor it replaced, instruction for
 // instruction: the same Result (exit, counts, cycles, fault), output,
-// error, stores in the same order, and final data segment, on
+// error text and sentinel, stores in the same order, and final data
+// segment, on
 //
-//   - every benchmark program on every target, SFI on and off (-short:
-//     compress only);
 //   - the SFI differential seed corpus (internal/sfi/absint), whose
 //     synthesized and mutated programs fault and jump wild;
 //   - hand-built control-flow corners on every target: a fault, a trap
@@ -39,42 +45,32 @@ import (
 //     Interrupt in a long one, on the delay-slot machines, which must
 //     stop at the same instruction with the same error.
 //
-// Every lowered run reuses one Sim through Reset, as a pooled host
-// does, so lowering into storage sized for another program is covered.
+// The benchmark programs on every target, SFI on and off, are pinned
+// by benchmark/expected.json's exact counts and the core parity tests.
+// Every run reuses one Sim through Reset, as a pooled host does, so
+// lowering into storage sized for another program is covered. A
+// deliberate change to the executor's semantics is accepted with
+// -update, which rewrites the golden file from the current executor.
 func TestSimMatchesReference(t *testing.T) {
+	want := readGolden(t)
+	got := map[string]string{}
 	var sim target.Sim
-	t.Run("bench", func(t *testing.T) {
-		cases, err := coretest.BenchCases(1)
-		if err != nil {
-			t.Fatal(err)
+	check := func(t *testing.T, name string, mk func() *core.Host, m *target.Machine, prog *target.Program, lim limits) error {
+		t.Helper()
+		o := runSim(&sim, mk, m, prog, lim)
+		got[name] = o.String()
+		if w, ok := want[name]; !*update && (!ok || w != got[name]) {
+			t.Errorf("%s:\n got %s\nwant %s", name, got[name], w)
 		}
-		for _, c := range cases {
-			if testing.Short() && c.Name != "bench-compress" {
-				continue
-			}
-			mod, err := core.BuildC(c.Files, c.Opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mk := hostFor(t, mod, core.RunConfig{})
-			for _, m := range target.Machines() {
-				for _, sfiOn := range []bool{true, false} {
-					prog, err := translate.Translate(mod, m, core.SegInfoFor(mod, core.RunConfig{}), translate.Paper(sfiOn))
-					if err != nil {
-						t.Fatal(err)
-					}
-					differ(t, &sim, fmt.Sprintf("%s/%s/sfi=%v", c.Name, m.Name, sfiOn), mk, m, prog, limits{})
-				}
-			}
-		}
-	})
+		return o.err
+	}
 	t.Run("absint-corpus", func(t *testing.T) {
 		for _, s := range corpusSeeds(t) {
 			prog, th := decodeSeed(t, s.data)
 			if prog == nil {
 				t.Fatalf("seed %s does not decode", s.name)
 			}
-			differ(t, &sim, s.name, th.host, th.m, prog, limits{budget: 5000})
+			check(t, s.name, th.host, th.m, prog, limits{budget: 5000})
 		}
 	})
 	t.Run("edges", func(t *testing.T) {
@@ -87,7 +83,7 @@ func TestSimMatchesReference(t *testing.T) {
 						h.Env.Handler = handler
 						return h
 					}
-					differ(t, &sim, fmt.Sprintf("%s/%s/handler=%d", m.Name, name, handler), mk, m, prog, limits{budget: 1000})
+					check(t, fmt.Sprintf("%s/%s/handler=%d", m.Name, name, handler), mk, m, prog, limits{budget: 1000})
 				}
 			}
 		}
@@ -119,24 +115,32 @@ func TestSimMatchesReference(t *testing.T) {
 				t.Fatalf("%s: unlimited run: %+v, %v", m.Name, whole, err)
 			}
 			for b := uint64(1); b <= whole.Insts+1; b++ {
-				differ(t, &sim, fmt.Sprintf("%s/budget=%d", m.Name, b), mk, m, prog, limits{budget: b})
+				check(t, fmt.Sprintf("%s/budget=%d", m.Name, b), mk, m, prog, limits{budget: b})
 			}
 
 			// The Interrupt, raised from inside a long run after its n-th
-			// store, so both executors see it at the same point; it takes
-			// effect at the next poll.
+			// store; it takes effect at the next poll.
 			mk = hostFor(t, long, core.RunConfig{})
 			if prog, err = translate.Translate(long, m, core.SegInfoFor(long, core.RunConfig{}), translate.Paper(true)); err != nil {
 				t.Fatal(err)
 			}
 			for _, n := range []int{1, 3000, 100000} {
 				name := fmt.Sprintf("%s/interrupt@%d", m.Name, n)
-				if err := differ(t, &sim, name, mk, m, prog, limits{stopAfter: n}); !errors.Is(err, target.ErrInterrupted) {
-					t.Errorf("%s: the reference ran to %v, not to the interrupt", name, err)
+				if err := check(t, name, mk, m, prog, limits{stopAfter: n}); !errors.Is(err, target.ErrInterrupted) {
+					t.Errorf("%s: ran to %v, not to the interrupt", name, err)
 				}
 			}
 		}
 	})
+	if *update {
+		writeGolden(t, got)
+		return
+	}
+	for name := range want {
+		if _, ok := got[name]; !ok {
+			t.Errorf("%s: recorded in %s but no longer run", name, referenceGolden)
+		}
+	}
 }
 
 type limits struct {
@@ -157,6 +161,31 @@ type outcome struct {
 	data   []byte
 }
 
+// String is the outcome's golden-file form. The store trace and the
+// data segment are recorded as a count and a digest: any difference
+// in either still shows.
+func (o outcome) String() string {
+	errText, sentinel := "", "-"
+	if o.err != nil {
+		errText = o.err.Error()
+	}
+	switch {
+	case errors.Is(o.err, target.ErrBudget):
+		sentinel = "budget"
+	case errors.Is(o.err, target.ErrInterrupted):
+		sentinel = "interrupted"
+	}
+	st := sha256.New()
+	for _, s := range o.stores {
+		fmt.Fprintf(st, "%x %d %t\n", s.addr, s.size, s.faulted)
+	}
+	data := sha256.Sum256(o.data)
+	r := o.res
+	return fmt.Sprintf("exit=%d insts=%d cycles=%d counts=%v faulted=%t fault=%q err=%q is=%s out=%q stores=%d:%x data=%x",
+		r.ExitCode, r.Insts, r.Cycles, r.Counts, r.Faulted, r.Fault, errText, sentinel, o.out,
+		len(o.stores), st.Sum(nil)[:8], data[:8])
+}
+
 // smallHost keeps the many short runs from each zeroing a default
 // multi-megabyte data segment.
 var smallHost = core.RunConfig{Heap: 16 << 10, Stack: 16 << 10}
@@ -172,65 +201,62 @@ func hostFor(t *testing.T, mod *ovm.Module, cfg core.RunConfig) func() *core.Hos
 	}
 }
 
-// differ runs prog once through each executor, each on a fresh host,
-// reports every difference, and returns the reference's error.
-func differ(t *testing.T, sim *target.Sim, name string, mk func() *core.Host, m *target.Machine, prog *target.Program, lim limits) error {
+// runSim runs prog on a fresh host through sim, recording every store.
+func runSim(sim *target.Sim, mk func() *core.Host, m *target.Machine, prog *target.Program, lim limits) outcome {
+	h := mk()
+	var o outcome
+	var stop *atomic.Bool
+	if lim.stopAfter > 0 {
+		stop = new(atomic.Bool)
+	}
+	sim.Reset(m, prog, &h.Mem, h.Env)
+	sim.MaxInsts, sim.Interrupt = lim.budget, stop
+	sim.StoreTrace = func(addr, size uint32, faulted bool) {
+		o.stores = append(o.stores, store{addr, size, faulted})
+		if len(o.stores) == lim.stopAfter {
+			stop.Store(true)
+		}
+	}
+	o.res, o.err = sim.Run()
+	o.out = h.Output()
+	o.data = h.Lay.Seg.Bytes()
+	return o
+}
+
+func readGolden(t *testing.T) map[string]string {
 	t.Helper()
-	run := func(ref bool) outcome {
-		h := mk()
-		var o outcome
-		var stop *atomic.Bool
-		if lim.stopAfter > 0 {
-			stop = new(atomic.Bool)
+	out := map[string]string{}
+	if *update {
+		return out
+	}
+	raw, err := os.ReadFile(referenceGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		name, o, ok := strings.Cut(line, "\t")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", referenceGolden, line)
 		}
-		trace := func(addr, size uint32, faulted bool) {
-			o.stores = append(o.stores, store{addr, size, faulted})
-			if len(o.stores) == lim.stopAfter {
-				stop.Store(true)
-			}
-		}
-		if ref {
-			s := target.NewReference(m, prog, &h.Mem, h.Env)
-			s.MaxInsts, s.Interrupt, s.StoreTrace = lim.budget, stop, trace
-			o.res, o.err = s.Run()
-		} else {
-			sim.Reset(m, prog, &h.Mem, h.Env)
-			sim.MaxInsts, sim.Interrupt, sim.StoreTrace = lim.budget, stop, trace
-			o.res, o.err = sim.Run()
-		}
-		o.out = h.Output()
-		o.data = h.Lay.Seg.Bytes()
-		return o
+		out[name] = o
 	}
-	want, got := run(true), run(false)
-	if got.res != want.res {
-		t.Errorf("%s: result\n got %+v\nwant %+v", name, got.res, want.res)
+	return out
+}
+
+func writeGolden(t *testing.T, got map[string]string) {
+	t.Helper()
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
 	}
-	if got.out != want.out {
-		t.Errorf("%s: output %q, want %q", name, got.out, want.out)
+	sort.Strings(names)
+	var b strings.Builder
+	for _, name := range names {
+		b.WriteString(name + "\t" + got[name] + "\n")
 	}
-	if (got.err == nil) != (want.err == nil) || got.err != nil && got.err.Error() != want.err.Error() {
-		t.Errorf("%s: error %v, want %v", name, got.err, want.err)
+	if err := os.WriteFile(referenceGolden, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, sentinel := range []error{target.ErrBudget, target.ErrInterrupted} {
-		if errors.Is(got.err, sentinel) != errors.Is(want.err, sentinel) {
-			t.Errorf("%s: errors.Is(%v, %v) differs from the reference", name, got.err, sentinel)
-		}
-	}
-	if len(got.stores) != len(want.stores) {
-		t.Errorf("%s: %d stores, want %d", name, len(got.stores), len(want.stores))
-	} else {
-		for i := range got.stores {
-			if got.stores[i] != want.stores[i] {
-				t.Errorf("%s: store %d is %+v, want %+v", name, i, got.stores[i], want.stores[i])
-				break
-			}
-		}
-	}
-	if !bytes.Equal(got.data, want.data) {
-		t.Errorf("%s: data segments differ after the run", name)
-	}
-	return want.err
 }
 
 // edgePrograms are the control-flow corners, each a few instructions
