@@ -1,7 +1,12 @@
 package sched
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"flag"
 	"fmt"
+	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -235,4 +240,219 @@ func TestScheduleCycleNonRegression(t *testing.T) {
 			})
 		}
 	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/blocks.golden from the current scheduler")
+
+const blocksGolden = "testdata/blocks.golden"
+
+// blockGen draws random straight-line bodies over a small register
+// pool, so dependences are dense, from every instruction shape the
+// translators hand the scheduler: register and immediate ALU work,
+// long-latency multiply and divide, integer and FP loads and stores
+// (base+offset and indexed), FP arithmetic with each latency class,
+// x86's register-memory MemSrc and read-modify-write MemDst forms,
+// compares, and nops.
+type blockGen struct {
+	r    *rand.Rand
+	regs int // integer registers drawn from 1..regs; FP from 32..32+regs-1
+}
+
+func (g *blockGen) ireg() target.Reg { return target.Reg(1 + g.r.Intn(g.regs)) }
+func (g *blockGen) freg() target.Reg { return target.Reg(32 + g.r.Intn(g.regs)) }
+
+func (g *blockGen) inst() target.Inst {
+	no := target.NoReg
+	in := target.Inst{Rd: no, Rs1: no, Rs2: no}
+	switch k := g.r.Intn(100); {
+	case k < 18:
+		in.Op = []target.Op{target.Add, target.Sub, target.Xor, target.Slt}[g.r.Intn(4)]
+		in.Rd, in.Rs1, in.Rs2 = g.ireg(), g.ireg(), g.ireg()
+	case k < 28:
+		in.Op = []target.Op{target.AddI, target.SllI, target.Mov}[g.r.Intn(3)]
+		in.Rd, in.Rs1, in.Imm = g.ireg(), g.ireg(), int32(g.r.Intn(64))
+	case k < 32:
+		in.Op, in.Rd, in.Imm = target.MovI, g.ireg(), int32(g.r.Intn(1<<20))
+	case k < 36:
+		in.Op = []target.Op{target.Mul, target.Div, target.RemU}[g.r.Intn(3)]
+		in.Rd, in.Rs1, in.Rs2 = g.ireg(), g.ireg(), g.ireg()
+	case k < 48:
+		in.Op = []target.Op{target.Lw, target.Lbu, target.Lh}[g.r.Intn(3)]
+		in.Rd, in.Rs1, in.Imm = g.ireg(), g.ireg(), int32(4*g.r.Intn(16))
+		if g.r.Intn(4) == 0 {
+			in.Rs2, in.Indexed, in.Imm = g.ireg(), true, 0
+		}
+	case k < 58:
+		in.Op = []target.Op{target.Sw, target.Sb}[g.r.Intn(2)]
+		in.Rd, in.Rs1, in.Imm = g.ireg(), g.ireg(), int32(4*g.r.Intn(16))
+	case k < 62:
+		in.Op = []target.Op{target.Ld, target.Lf}[g.r.Intn(2)]
+		in.Rd, in.Rs1 = g.freg(), g.ireg()
+	case k < 65:
+		in.Op, in.Rd, in.Rs1 = target.Sd, g.freg(), g.ireg()
+	case k < 75:
+		in.Op = []target.Op{target.FaddD, target.FmulD, target.FdivD, target.FmulS, target.FdivS, target.FsubS}[g.r.Intn(6)]
+		in.Rd, in.Rs1, in.Rs2 = g.freg(), g.freg(), g.freg()
+	case k < 78:
+		in.Op = []target.Op{target.CvtWD, target.CvtDS, target.FnegD}[g.r.Intn(3)]
+		in.Rd, in.Rs1 = g.freg(), g.freg()
+	case k < 83:
+		// x86 load-op: rd = rd op mem[imm].
+		in.Op, in.MemSrc = []target.Op{target.Add, target.Sub, target.And}[g.r.Intn(3)], true
+		in.Rd = g.ireg()
+		in.Rs1, in.Imm = in.Rd, int32(4*g.r.Intn(16))
+	case k < 88:
+		// x86 read-modify-write of a memory slot, register or immediate
+		// operand.
+		in.Op, in.MemDst, in.Imm = []target.Op{target.Add, target.Or}[g.r.Intn(2)], true, int32(4*g.r.Intn(16))
+		if g.r.Intn(2) == 0 {
+			in.Rs1 = g.ireg()
+		} else {
+			in.Target = int32(g.r.Intn(100))
+		}
+	case k < 95:
+		in.Op = []target.Op{target.Cmp, target.CmpI, target.CmpUI}[g.r.Intn(3)]
+		in.Rs1 = g.ireg()
+		if in.Op == target.Cmp {
+			in.Rs2 = g.ireg()
+		}
+	case k < 97:
+		in.Op, in.Rs1, in.Rs2 = target.Fcmp, g.freg(), g.freg()
+	default:
+		in.Op = target.Nop
+	}
+	return in
+}
+
+// blockCase is one seeded body plus the control tail that ends it.
+type blockCase struct {
+	name string
+	seed int64
+	n    int // body length
+	regs int
+	tail string // "", "bcc" (cmp -> bcc), "fbcc" (fcmp -> fbcc), "bcc+j", "jal"
+	same target.Op
+}
+
+func (c blockCase) build() []target.Inst {
+	no := target.NoReg
+	var body []target.Inst
+	if c.same != target.Nop {
+		// Equal-priority ties: independent instructions of one
+		// latency, every choice broken by index alone.
+		for i := 0; i < c.n; i++ {
+			in := target.Inst{Op: c.same, Rd: target.Reg(1 + i%20), Rs1: 29, Rs2: no, Imm: int32(4 * i)}
+			if i >= 20 {
+				in.Rd += 32 // FP registers: no WAW with the first 20
+			}
+			body = append(body, in)
+		}
+	} else {
+		g := &blockGen{r: rand.New(rand.NewSource(c.seed)), regs: c.regs}
+		for i := 0; i < c.n; i++ {
+			body = append(body, g.inst())
+		}
+	}
+	switch c.tail {
+	case "bcc", "bcc+j":
+		body = append(body,
+			target.Inst{Op: target.Cmp, Rd: no, Rs1: 1, Rs2: 2},
+			target.Inst{Op: target.Bcc, Rd: no, Rs1: no, Rs2: no, CC: target.CCLt, Target: 7})
+		if c.tail == "bcc+j" {
+			body = append(body, target.Inst{Op: target.J, Rd: no, Rs1: no, Rs2: no, Target: 9})
+		}
+	case "fbcc":
+		body = append(body,
+			target.Inst{Op: target.Fcmp, Rd: no, Rs1: 32, Rs2: 33},
+			target.Inst{Op: target.FBcc, Rd: no, Rs1: no, Rs2: no, CC: target.CCEq, Target: 7})
+	case "jal":
+		body = append(body, target.Inst{Op: target.Jal, Rd: 31, Rs1: no, Rs2: no, Target: 3, Imm: 2})
+	}
+	for i := range body {
+		body[i].Src = int32(i)
+	}
+	return body
+}
+
+var blockCases = []blockCase{
+	{name: "tiny", seed: 1, n: 6, regs: 4, tail: "bcc"},
+	{name: "small-dense", seed: 2, n: 24, regs: 3, tail: "bcc+j"},
+	{name: "medium", seed: 3, n: 64, regs: 6, tail: "fbcc"},
+	{name: "wide", seed: 4, n: 96, regs: 16, tail: "jal"},
+	{name: "long-200", seed: 5, n: 200, regs: 8, tail: "bcc"},
+	{name: "long-256", seed: 6, n: 256, regs: 5, tail: "bcc+j"},
+	{name: "long-sparse", seed: 7, n: 230, regs: 24},
+	{name: "ties-loads", n: 40, same: target.Lw, tail: "bcc"},
+	{name: "ties-alu", n: 200, same: target.AddI},
+}
+
+// goldenMachines are the four targets plus a PPC variant whose
+// compares fold into the branch with zero result latency, so a
+// finish cycle equal to the issue cycle is covered.
+func goldenMachines() []*target.Machine {
+	ms := target.Machines()
+	fold := *target.PPCMachine()
+	fold.Name = "ppc-fold"
+	for _, op := range []target.Op{target.Cmp, target.CmpI, target.CmpUI, target.Fcmp} {
+		fold.Latency[op] = 0
+	}
+	return append(ms, &fold)
+}
+
+// permutationDigest hashes the order Block chose, as the sequence of
+// original positions (each instruction's Src).
+func permutationDigest(out []target.Inst) string {
+	h := sha256.New()
+	var b [4]byte
+	for i := range out {
+		binary.LittleEndian.PutUint32(b[:], uint32(out[i].Src))
+		h.Write(b[:])
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:12])
+}
+
+// TestScheduleRandomBlocksGolden pins the order Block picks for seeded
+// random blocks on every machine: the exact schedule, not just its
+// legality, so a rewrite of the scheduler must reproduce every choice,
+// tie-breaks included. Each output is also checked legal.
+func TestScheduleRandomBlocksGolden(t *testing.T) {
+	var lines []string
+	for _, c := range blockCases {
+		block := c.build()
+		for _, m := range goldenMachines() {
+			out := schedule(block, m)
+			if err := legalityErr(block, out); err != nil {
+				t.Errorf("%s/%s: %v", c.name, m.Name, err)
+			}
+			lines = append(lines, fmt.Sprintf("%s %s %s", c.name, m.Name, permutationDigest(out)))
+		}
+	}
+	got := strings.Join(lines, "\n") + "\n"
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(blocksGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(blocksGolden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(want) != len(lines) {
+		t.Fatalf("%s has %d cases, the test produces %d", blocksGolden, len(want), len(lines))
+	}
+	for i := range lines {
+		if lines[i] != want[i] {
+			t.Errorf("schedule changed:\n  got:  %s\n  want: %s", lines[i], want[i])
+		}
+	}
+}
+
+// schedule runs Block on a copy of block.
+func schedule(block []target.Inst, m *target.Machine) []target.Inst {
+	return Block(append([]target.Inst(nil), block...), m)
 }

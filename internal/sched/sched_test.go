@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"omniware/internal/target"
@@ -12,38 +14,112 @@ func inst(op target.Op, rd, rs1, rs2 target.Reg) target.Inst {
 	return target.Inst{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}
 }
 
-// permute checks the scheduled block computes the same data flow: every
-// instruction still appears exactly once and no instruction moved above
-// a producer of its operands.
+// checkLegal fails the test unless after is a legal schedule of before.
 func checkLegal(t *testing.T, before, after []target.Inst) {
 	t.Helper()
+	if err := legalityErr(before, after); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// legalityErr reports why after is not a legal reordering of before:
+// every instruction must appear exactly once, and every dependence
+// between two instructions of before must keep its order in after.
+// The dependences are the scheduler's model, stated pairwise: register
+// RAW, WAR and WAW; memory order between two memory operations when
+// either writes memory; flag order between compares and between a
+// compare and a flag reader; and control transfers order against
+// everything.
+func legalityErr(before, after []target.Inst) error {
 	if len(before) != len(after) {
-		t.Fatalf("length changed: %d -> %d", len(before), len(after))
+		return fmt.Errorf("length changed: %d -> %d", len(before), len(after))
 	}
-	seen := map[string]int{}
-	for _, in := range before {
-		seen[in.String()]++
+	// Equal instructions map in order. Two equal instructions that
+	// touch any register, memory or the flags depend on each other, so
+	// a legal schedule keeps their relative order anyway.
+	at := map[target.Inst][]int{}
+	for j, in := range after {
+		at[in] = append(at[in], j)
 	}
-	for _, in := range after {
-		seen[in.String()]--
-	}
-	for k, v := range seen {
-		if v != 0 {
-			t.Fatalf("instruction multiset changed: %q (%d)", k, v)
+	pos := make([]int, len(before))
+	for i, in := range before {
+		q := at[in]
+		if len(q) == 0 {
+			return fmt.Errorf("instruction %d (%v) missing from the output", i, in)
 		}
+		pos[i], at[in] = q[0], q[1:]
 	}
-	// RAW legality.
-	writtenAt := map[target.Reg]int{}
-	for i, in := range after {
-		for _, r := range []target.Reg{in.Rs1, in.Rs2} {
-			if r == target.NoReg {
-				continue
+	for i := range before {
+		for j := i + 1; j < len(before); j++ {
+			if kind := dependence(&before[i], &before[j]); kind != "" && pos[i] > pos[j] {
+				return fmt.Errorf("%s dependence %d (%v) -> %d (%v) reversed: now at %d and %d",
+					kind, i, before[i], j, before[j], pos[i], pos[j])
 			}
-			_ = r
 		}
-		if in.Rd != target.NoReg && !in.Op.IsStore() {
-			writtenAt[in.Rd] = i
-		}
+	}
+	return nil
+}
+
+// dependence names the kind of dependence the later instruction b has
+// on the earlier a, or "" if the two may swap.
+func dependence(a, b *target.Inst) string {
+	wa, wb := regWritten(a), regWritten(b)
+	switch {
+	case isControl(a) || isControl(b):
+		return "control"
+	case wa != target.NoReg && regRead(b, wa):
+		return "RAW"
+	case wb != target.NoReg && regRead(a, wb):
+		return "WAR"
+	case wa != target.NoReg && wa == wb:
+		return "WAW"
+	case touchesMem(a) && touchesMem(b) && (writesMem(a) || writesMem(b)):
+		return "memory"
+	case setsFlags(a) && (setsFlags(b) || readsFlags(b)), readsFlags(a) && setsFlags(b):
+		return "flag"
+	}
+	return ""
+}
+
+func isControl(in *target.Inst) bool {
+	return in.Op.IsBranch() || in.Op.IsJump() || in.Op == target.Syscall
+}
+
+// regWritten is the register in writes: Rd, except for stores, whose
+// Rd is the value operand.
+func regWritten(in *target.Inst) target.Reg {
+	if in.Op.IsStore() {
+		return target.NoReg
+	}
+	return in.Rd
+}
+
+func regRead(in *target.Inst, r target.Reg) bool {
+	return in.Rs1 == r || in.Rs2 == r || (in.Op.IsStore() && in.Rd == r)
+}
+
+func touchesMem(in *target.Inst) bool {
+	return in.Op.IsLoad() || in.Op.IsStore() || in.MemSrc || in.MemDst
+}
+
+func writesMem(in *target.Inst) bool { return in.Op.IsStore() || in.MemDst }
+
+func readsFlags(in *target.Inst) bool { return in.Op == target.Bcc || in.Op == target.FBcc }
+
+// The legality check must bite: a use hoisted above the load that
+// produces its operand is a reversed RAW dependence.
+func TestCheckLegalRejectsSwappedLoadUse(t *testing.T) {
+	block := []target.Inst{
+		inst(target.Lw, 2, 29, target.NoReg),
+		inst(target.Add, 3, 2, 2),
+	}
+	if err := legalityErr(block, block); err != nil {
+		t.Fatalf("identity schedule rejected: %v", err)
+	}
+	swapped := []target.Inst{block[1], block[0]}
+	err := legalityErr(block, swapped)
+	if err == nil || !strings.HasPrefix(err.Error(), "RAW dependence 0 ") {
+		t.Fatalf("swapped load/use: got %v, want a reversed RAW dependence", err)
 	}
 }
 
