@@ -107,12 +107,13 @@ func (e *emitter) finalize() {
 	m := e.c.m
 	doSched := e.c.prof == ProfCC
 	fill := doSched || m.Arch == target.SPARC // gcc fills SPARC slots too
+	var s sched.Scheduler
 	for i, u := range e.units {
 		if len(u) == 0 {
 			continue
 		}
 		if doSched {
-			u = sched.Block(u, m)
+			s.Block(u, m)
 		}
 		u = sched.FillDelaySlot(u, m, fill)
 		e.units[i] = u

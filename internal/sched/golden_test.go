@@ -146,7 +146,7 @@ func blockCycles(insts []target.Inst, m *target.Machine) int {
 		}
 		clock = ready + 1
 		if in.Rd != target.NoReg && !in.Op.IsStore() {
-			avail[in.Rd] = ready + latOf(in, m)
+			avail[in.Rd] = ready + int(m.Latency[in.Op])
 		}
 	}
 	return clock
@@ -224,7 +224,7 @@ func TestScheduleCycleNonRegression(t *testing.T) {
 		for _, b := range blocks {
 			t.Run(m.Name+"/"+b.name, func(t *testing.T) {
 				before := blockCycles(b.insts, m)
-				out := Block(append([]target.Inst(nil), b.insts...), m)
+				out := schedule(b.insts, m)
 				checkLegal(t, b.insts, out)
 				after := blockCycles(out, m)
 				if after > before {
@@ -452,7 +452,13 @@ func TestScheduleRandomBlocksGolden(t *testing.T) {
 	}
 }
 
+// reused is the one Scheduler every test schedules with, so stale
+// scratch from one block would show up in the next.
+var reused Scheduler
+
 // schedule runs Block on a copy of block.
 func schedule(block []target.Inst, m *target.Machine) []target.Inst {
-	return Block(append([]target.Inst(nil), block...), m)
+	out := append([]target.Inst(nil), block...)
+	reused.Block(out, m)
+	return out
 }

@@ -4,108 +4,239 @@
 // evaluates: it hides pipeline interlocks, and in SFI code it hides
 // sandboxing instructions inside interlock cycles, which is why
 // scheduling helps SFI code more than unprotected code.
+//
+// Block is a cycle-driven list scheduler in linear passes over a
+// block's straight-line body:
+//   - Dependences come from fixed tables: per register the last writer
+//     and the readers since that write, the last store and the memory
+//     operations since it, and the last compare. Each edge found at
+//     instruction i ends at i, so the predecessor lists come out in
+//     CSR order; the successor lists are their transpose.
+//   - An instruction's priority is the longest latency path from it to
+//     the end of the body, computed backwards over the successors.
+//   - A ready list holds the instructions whose predecessors have all
+//     issued, each with its ready cycle: the largest finish cycle among
+//     its predecessors, fixed when the last of them issues. Each step
+//     issues the ready instruction that can start earliest, then the
+//     one with the highest priority, then the one with the lowest index.
 package sched
 
 import "omniware/internal/target"
 
-// Block schedules the instructions of one basic block in place and
-// returns the new ordering. The final instruction, if it is a control
-// transfer, keeps its position. Memory operations keep their relative
-// order with respect to stores; register dependences are honoured
-// exactly.
-func Block(insts []target.Inst, m *target.Machine) []target.Inst {
-	n := len(insts)
-	if n < 2 {
-		return insts
-	}
-	// Schedule only the straight-line prefix: everything from the first
-	// control transfer on keeps its order (a block may end with a
-	// conditional branch followed by an unconditional jump).
-	k := n
-	for i := 0; i < n; i++ {
+// Scheduler holds Block's scratch storage, reused from one block to
+// the next, so that scheduling allocates only when a block is larger
+// than every block before it. The zero value is ready to use. A
+// Scheduler must not be used by two goroutines at once.
+type Scheduler struct {
+	body []target.Inst // the unscheduled body, copied out of the caller's slice
+
+	// The dependence DAG in CSR form: the predecessors of i are
+	// pred[predAt[i]:predAt[i+1]], its successors
+	// succ[succAt[i]:succAt[i+1]].
+	predAt, pred []int32
+	succAt, succ []int32
+
+	prio  []int32 // longest latency path to the end of the body
+	ready []int32 // largest finish cycle among the issued predecessors
+	waits []int32 // predecessors not yet issued
+	list  []int32 // the ready list, in no particular order
+
+	// Dependence tables, indexed by register. Both hold 1 + an
+	// instruction or reader index, 0 for none, so clearing resets them.
+	lastWrite [numRegs]int32
+	readHead  [numRegs]int32 // newest reader since the last write
+	readers   []reader
+	mems      []int32 // memory operations since the last store
+}
+
+// numRegs covers every register number a target.Reg can hold;
+// machines use 0..31 for integer registers and 32..63 for FP.
+const numRegs = 128
+
+// reader is one node of a register's list of readers since its last
+// write.
+type reader struct {
+	inst int32
+	next int32 // 1 + the next (older) node, 0 at the end
+}
+
+// Block schedules the instructions of one basic block in place. It
+// reorders the straight-line body before the first control transfer
+// (or syscall) within the body's own slots; everything from that
+// transfer on keeps its position, so a block ending in a conditional
+// branch and its else-jump keeps both. Register dependences are honoured exactly,
+// memory operations keep their order with respect to stores, and
+// compares keep their order.
+func (s *Scheduler) Block(insts []target.Inst, m *target.Machine) {
+	k := len(insts)
+	for i := range insts {
 		op := insts[i].Op
 		if op.IsBranch() || op.IsJump() || op == target.Syscall {
 			k = i
 			break
 		}
 	}
-	body := insts[:k]
-	tail := insts[k:]
-	if len(body) < 2 {
-		return insts
+	if k < 2 {
+		return
 	}
-	// The first control transfer may depend on body values (branch
-	// operands); keep producers of its operands ordered naturally via
-	// the dependence DAG — the tail is appended unchanged, so any body
-	// instruction is still before it.
-	term := tail
+	s.body = append(s.body[:0], insts[:k]...)
+	s.depEdges()
+	s.prioritize(m)
+	s.issue(insts[:k], m)
+}
 
-	deps := buildDeps(body, m)
+// depEdges fills the predecessor and successor arrays of s.body.
+// The only flag readers, Bcc and FBcc, end the body, so compares
+// order only against each other.
+func (s *Scheduler) depEdges() {
+	n := len(s.body)
+	clear(s.lastWrite[:])
+	clear(s.readHead[:])
+	s.readers = s.readers[:0]
+	s.mems = s.mems[:0]
+	s.predAt = resize(s.predAt, n+1)
+	s.pred = s.pred[:0]
+	lastStore, lastFlags := int32(-1), int32(-1)
+	edge := func(from int32) {
+		if from >= 0 {
+			s.pred = append(s.pred, from)
+		}
+	}
+	for i := range s.body {
+		in := &s.body[i]
+		s.predAt[i] = int32(len(s.pred))
+		reads := [3]target.Reg{in.Rs1, in.Rs2, target.NoReg}
+		writes := in.Rd
+		if in.Op.IsStore() {
+			reads[2], writes = in.Rd, target.NoReg
+		}
+		for _, r := range reads {
+			if r != target.NoReg {
+				edge(s.lastWrite[r] - 1) // RAW
+			}
+		}
+		if writes != target.NoReg {
+			for at := s.readHead[writes]; at != 0; at = s.readers[at-1].next {
+				edge(s.readers[at-1].inst) // WAR
+			}
+			edge(s.lastWrite[writes] - 1) // WAW
+			s.lastWrite[writes] = int32(i) + 1
+			s.readHead[writes] = 0
+		}
+		for _, r := range reads {
+			if r != target.NoReg {
+				s.readers = append(s.readers, reader{inst: int32(i), next: s.readHead[r]})
+				s.readHead[r] = int32(len(s.readers))
+			}
+		}
+		// Stores (and x86 read-modify-write forms) order against every
+		// memory operation since the last store; loads against that
+		// store.
+		switch {
+		case in.Op.IsStore() || in.MemDst:
+			for _, mi := range s.mems {
+				edge(mi)
+			}
+			edge(lastStore)
+			lastStore = int32(i)
+			s.mems = s.mems[:0]
+		case in.Op.IsLoad() || in.MemSrc:
+			edge(lastStore)
+			s.mems = append(s.mems, int32(i))
+		}
+		if setsFlags(in) {
+			edge(lastFlags)
+			lastFlags = int32(i)
+		}
+	}
+	s.predAt[n] = int32(len(s.pred))
 
-	// Longest-path-to-exit priority.
-	prio := make([]int, len(body))
-	for i := len(body) - 1; i >= 0; i-- {
-		lat := latOf(&body[i], m)
-		p := lat
-		for _, s := range deps.succs[i] {
-			if prio[s]+lat > p {
-				p = prio[s] + lat
-			}
-		}
-		prio[i] = p
+	// Transpose: count each instruction's successors, turn the counts
+	// into end offsets, then place every edge, walking each end back
+	// to its start.
+	s.succAt = resize(s.succAt, n+1)
+	clear(s.succAt)
+	for _, p := range s.pred {
+		s.succAt[p]++
 	}
+	for i := 1; i < n; i++ {
+		s.succAt[i] += s.succAt[i-1]
+	}
+	s.succAt[n] = int32(len(s.pred))
+	s.succ = resize(s.succ, len(s.pred))
+	for i := n - 1; i >= 0; i-- {
+		for _, p := range s.pred[s.predAt[i]:s.predAt[i+1]] {
+			s.succAt[p]--
+			s.succ[s.succAt[p]] = int32(i)
+		}
+	}
+}
 
-	// Cycle-driven list scheduling: among the data-ready instructions,
-	// prefer one whose operands are available this cycle (hiding
-	// latencies), breaking ties by critical-path priority.
-	indeg := make([]int, len(body))
-	preds := make([][]int, len(body))
-	for i := range body {
-		for _, s := range deps.succs[i] {
-			indeg[s]++
-			preds[s] = append(preds[s], i)
+// prioritize sets each instruction's priority: its own latency plus
+// the largest priority among its successors.
+func (s *Scheduler) prioritize(m *target.Machine) {
+	n := len(s.body)
+	s.prio = resize(s.prio, n)
+	for i := n - 1; i >= 0; i-- {
+		p := int32(0)
+		for _, c := range s.succ[s.succAt[i]:s.succAt[i+1]] {
+			p = max(p, s.prio[c])
+		}
+		s.prio[i] = p + int32(m.Latency[s.body[i].Op])
+	}
+}
+
+// issue writes the schedule into out: at each step the ready
+// instruction with the lowest start cycle max(ready, clock), then the
+// highest priority, then the lowest index.
+func (s *Scheduler) issue(out []target.Inst, m *target.Machine) {
+	n := len(s.body)
+	s.ready = resize(s.ready, n)
+	s.waits = resize(s.waits, n)
+	s.list = s.list[:0]
+	for i := range n {
+		s.ready[i] = 0
+		s.waits[i] = s.predAt[i+1] - s.predAt[i]
+		if s.waits[i] == 0 {
+			s.list = append(s.list, int32(i))
 		}
 	}
-	finish := make([]int, len(body)) // cycle the result becomes available
-	scheduled := make([]target.Inst, 0, len(insts))
-	done := make([]bool, len(body))
-	clock := 0
-	for len(scheduled) < len(body) {
-		best, bestEst := -1, 0
-		for i := range body {
-			if done[i] || indeg[i] != 0 {
-				continue
-			}
-			est := 0
-			for _, p := range preds[i] {
-				if finish[p] > est {
-					est = finish[p]
-				}
-			}
-			if est < clock {
-				est = clock
-			}
-			better := best < 0 ||
-				est < bestEst ||
-				(est == bestEst && prio[i] > prio[best])
-			if better {
-				best, bestEst = i, est
+	clock := int32(0)
+	for step := range out {
+		at := 0
+		best := s.list[0]
+		start := max(s.ready[best], clock)
+		for j := 1; j < len(s.list); j++ {
+			c := s.list[j]
+			est := max(s.ready[c], clock)
+			if est < start || est == start &&
+				(s.prio[c] > s.prio[best] || s.prio[c] == s.prio[best] && c < best) {
+				at, best, start = j, c, est
 			}
 		}
-		if best < 0 {
-			// Cycle (cannot happen with a DAG); bail out conservatively.
-			return insts
-		}
-		done[best] = true
-		finish[best] = bestEst + latOf(&body[best], m)
-		clock = bestEst + 1
-		scheduled = append(scheduled, body[best])
-		for _, s := range deps.succs[best] {
-			indeg[s]--
+		last := len(s.list) - 1
+		s.list[at] = s.list[last]
+		s.list = s.list[:last]
+
+		out[step] = s.body[best]
+		finish := start + int32(m.Latency[s.body[best].Op])
+		clock = start + 1
+		for _, c := range s.succ[s.succAt[best]:s.succAt[best+1]] {
+			s.ready[c] = max(s.ready[c], finish)
+			if s.waits[c]--; s.waits[c] == 0 {
+				s.list = append(s.list, c)
+			}
 		}
 	}
-	scheduled = append(scheduled, term...)
-	return scheduled
+}
+
+// resize returns a slice of length n, reusing buf's storage when it is
+// large enough. The contents are unspecified.
+func resize(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n, 2*n)
+	}
+	return buf[:n]
 }
 
 // FillDelaySlot arranges delay slots on delay-slot machines. The final
@@ -220,106 +351,4 @@ func setsFlags(in *target.Inst) bool {
 		return true
 	}
 	return false
-}
-
-func latOf(in *target.Inst, m *target.Machine) int {
-	return int(m.Latency[in.Op])
-}
-
-type depGraph struct {
-	succs [][]int
-}
-
-// buildDeps constructs the dependence DAG of a straight-line body.
-func buildDeps(body []target.Inst, m *target.Machine) *depGraph {
-	g := &depGraph{succs: make([][]int, len(body))}
-	lastWrite := map[target.Reg]int{}
-	readersSince := map[target.Reg][]int{}
-	lastStore := -1
-	lastMems := []int{}
-	lastFlagSet := -1
-	flagReaders := []int{}
-	barrier := -1
-
-	edge := func(from, to int) {
-		if from < 0 || from == to {
-			return
-		}
-		g.succs[from] = append(g.succs[from], to)
-	}
-
-	for i := range body {
-		in := &body[i]
-		var reads []target.Reg
-		if in.Rs1 != target.NoReg {
-			reads = append(reads, in.Rs1)
-		}
-		if in.Rs2 != target.NoReg {
-			reads = append(reads, in.Rs2)
-		}
-		var writes target.Reg = target.NoReg
-		if in.Op.IsStore() {
-			reads = append(reads, in.Rd)
-		} else if in.Rd != target.NoReg {
-			writes = in.Rd
-		}
-		// RAW
-		for _, r := range reads {
-			if w, ok := lastWrite[r]; ok {
-				edge(w, i)
-			}
-		}
-		// WAR and WAW
-		if writes != target.NoReg {
-			for _, rd := range readersSince[writes] {
-				edge(rd, i)
-			}
-			if w, ok := lastWrite[writes]; ok {
-				edge(w, i)
-			}
-			lastWrite[writes] = i
-			readersSince[writes] = nil
-		}
-		for _, r := range reads {
-			readersSince[r] = append(readersSince[r], i)
-		}
-		// Memory: stores order against all prior memory ops; loads order
-		// against prior stores. MemDst forms both read and write memory.
-		isMem := in.Op.IsLoad() || in.Op.IsStore() || in.MemSrc || in.MemDst
-		if in.Op.IsStore() || in.MemDst {
-			for _, mi := range lastMems {
-				edge(mi, i)
-			}
-			edge(lastStore, i)
-			lastStore = i
-			lastMems = lastMems[:0]
-		} else if isMem {
-			edge(lastStore, i)
-			lastMems = append(lastMems, i)
-		}
-		// Syscalls are full barriers: they read and write the OmniVM
-		// register state (possibly in memory) and perform I/O.
-		if in.Op == target.Syscall {
-			for j := 0; j < i; j++ {
-				edge(j, i)
-			}
-			barrier = i
-		} else if barrier >= 0 {
-			edge(barrier, i)
-		}
-		// Flags.
-		if setsFlags(in) {
-			for _, r := range flagReaders {
-				edge(r, i)
-			}
-			edge(lastFlagSet, i)
-			lastFlagSet = i
-			flagReaders = flagReaders[:0]
-		}
-		if in.Op == target.Bcc || in.Op == target.FBcc {
-			edge(lastFlagSet, i)
-			flagReaders = append(flagReaders, i)
-		}
-	}
-	return g
 }

@@ -132,7 +132,7 @@ func TestScheduleHidesLoadUse(t *testing.T) {
 		inst(target.Add, 3, 2, 2),
 		inst(target.AddI, 5, 6, target.NoReg),
 	}
-	out := Block(append([]target.Inst(nil), block...), m)
+	out := schedule(block, m)
 	checkLegal(t, block, out)
 	// The independent addi should no longer be last.
 	if out[2].Op == target.AddI && out[2].Rd == 5 {
@@ -147,7 +147,7 @@ func TestScheduleKeepsDependences(t *testing.T) {
 		inst(target.Add, 3, 2, 2),             // needs r2
 		inst(target.Add, 4, 3, 3),             // needs r3
 	}
-	out := Block(append([]target.Inst(nil), block...), m)
+	out := schedule(block, m)
 	pos := map[target.Reg]int{}
 	for i, in := range out {
 		if in.Rd != target.NoReg {
@@ -165,7 +165,7 @@ func TestScheduleRespectsStores(t *testing.T) {
 		inst(target.Sw, 2, 29, target.NoReg), // store
 		inst(target.Lw, 3, 29, target.NoReg), // load after store: fixed order
 	}
-	out := Block(append([]target.Inst(nil), block...), m)
+	out := schedule(block, m)
 	if out[0].Op != target.Sw {
 		t.Errorf("load moved above store: %v", out)
 	}
@@ -178,7 +178,7 @@ func TestScheduleStopsAtFirstControl(t *testing.T) {
 		{Op: target.Beqz, Rd: target.NoReg, Rs1: 2, Rs2: target.NoReg, Target: 5},
 		{Op: target.J, Rd: target.NoReg, Rs1: target.NoReg, Rs2: target.NoReg, Target: 9},
 	}
-	out := Block(append([]target.Inst(nil), block...), m)
+	out := schedule(block, m)
 	if out[1].Op != target.Beqz || out[2].Op != target.J {
 		t.Errorf("control tail reordered: %v", out)
 	}
@@ -248,5 +248,22 @@ func TestCallSlotAvoidsReturnReg(t *testing.T) {
 	// The addi writes r31, which jal also writes: it must NOT fill the slot.
 	if out[len(out)-1].Op != target.Nop {
 		t.Errorf("slot filled with a conflicting write: %v", out)
+	}
+}
+
+// A warmed Scheduler schedules a block without allocating, so the
+// blocks of one translation share one set of scratch storage.
+func TestSchedulerAllocFree(t *testing.T) {
+	m := target.MIPSMachine()
+	block := blockCase{seed: 8, n: 200, regs: 8, tail: "bcc"}.build()
+	work := make([]target.Inst, len(block))
+	var s Scheduler
+	run := func() {
+		copy(work, block)
+		s.Block(work, m)
+	}
+	run()
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Errorf("Block allocated %.1f times per 200-instruction block, want 0", n)
 	}
 }

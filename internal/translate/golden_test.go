@@ -8,6 +8,7 @@ import (
 	"hash"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"omniware/internal/core"
@@ -111,38 +112,61 @@ func TestTranslationsGolden(t *testing.T) {
 		}
 		return
 	}
-	want, err := os.ReadFile(goldenPath)
+	raw, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	compareGoldenLines(t, strings.Split(strings.TrimSuffix(string(want), "\n"), "\n"), lines)
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(want) != len(lines) {
+		t.Fatalf("%s has %d cases, the test produces %d", goldenPath, len(want), len(lines))
+	}
+	for i := range lines {
+		if lines[i] != want[i] {
+			t.Errorf("translation changed:\n  got:  %s\n  want: %s", lines[i], want[i])
+		}
+	}
 }
 
-// compareGoldenLines reports each "<case...> <digest>" line whose
-// digest differs, by the case fields in front of the digest.
-func compareGoldenLines(t *testing.T, want, got []string) {
-	t.Helper()
-	split := func(l string) (string, string) {
-		i := strings.LastIndexByte(l, ' ')
-		return l[:i], l[i+1:]
+// Translations running at once, as the cache's workers run them, must
+// each produce exactly what one translation alone does: the scheduler
+// scratch belongs to one translation and is shared with no other.
+func TestConcurrentTranslationsAgree(t *testing.T) {
+	bench, err := coretest.BenchCases(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantBy := map[string]string{}
-	for _, l := range want {
-		k, v := split(l)
-		wantBy[k] = v
+	c := bench[0]
+	mod, err := core.BuildC(c.Files, c.Opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, l := range got {
-		k, v := split(l)
-		w, ok := wantBy[k]
-		switch {
-		case !ok:
-			t.Errorf("%s: not in %s", k, goldenPath)
-		case w != v:
-			t.Errorf("%s: translation changed (digest %.12s, golden %.12s)", k, v, w)
+	si := core.SegInfoFor(mod, core.RunConfig{})
+	opt := translate.Paper(true)
+	machines := target.Machines()
+	want := make([]string, len(machines))
+	for i, m := range machines {
+		prog, err := translate.Translate(mod, m, si, opt)
+		if err != nil {
+			t.Fatal(err)
 		}
-		delete(wantBy, k)
+		want[i] = programDigest(prog)
 	}
-	for k := range wantBy {
-		t.Errorf("%s: in %s but no longer produced", k, goldenPath)
+	var wg sync.WaitGroup
+	for round := 0; round < 2; round++ {
+		for i, m := range machines {
+			wg.Add(1)
+			go func(i int, m *target.Machine) {
+				defer wg.Done()
+				prog, err := translate.Translate(mod, m, si, opt)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := programDigest(prog); got != want[i] {
+					t.Errorf("%s/%s: concurrent translation differs from a lone one", c.Name, m.Name)
+				}
+			}(i, m)
+		}
 	}
+	wg.Wait()
 }

@@ -82,6 +82,7 @@ type tx struct {
 	static      [target.NumCats]int
 	regSaveBase uint32
 	tim         Timings
+	sched       sched.Scheduler
 
 	// SFI sandbox reuse (SFIHoist): the OmniVM base register whose
 	// sandboxed form is currently live in SFIAddr, or -1.
@@ -165,7 +166,7 @@ func (t *tx) run() (*target.Program, error) {
 		phase = time.Now()
 		insts := t.cur
 		if t.schedEnabled() {
-			insts = sched.Block(insts, t.m)
+			t.sched.Block(insts, t.m)
 		}
 		insts = sched.FillDelaySlot(insts, t.m, t.schedEnabled())
 		t.tim.Schedule += time.Since(phase)
