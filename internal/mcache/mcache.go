@@ -30,7 +30,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"omniware/internal/audit"
 	"omniware/internal/mcache/diskstore"
 	"omniware/internal/ovm"
 	"omniware/internal/sfi"
@@ -117,11 +116,6 @@ type Stats struct {
 	PeerQuarantines uint64 // peer candidates refused by the admission gate or spot check
 	SpotChecks      uint64 // peer admissions sampled for retranslation equality
 	SpotCheckFails  uint64 // spot checks where the peer's program was not the local translation
-
-	Audits           uint64 // audit pipeline runs (memoization misses)
-	AuditHits        uint64 // audit reports served memoized
-	AuditDiskWrites  uint64 // audit reports written through to the persistent tier
-	AuditQuarantines uint64 // stored audits that disagreed with re-derivation and were set aside
 }
 
 // ModuleHash returns the content address of a module: the hex SHA-256
@@ -195,8 +189,6 @@ type counters struct {
 	diskHits, diskWrites, diskQuarantines atomic.Uint64
 	peerHits, peerQuarantines             atomic.Uint64
 	peerSpotChecks, peerSpotCheckFails    atomic.Uint64
-	audits, auditHits                     atomic.Uint64
-	auditDiskWrites, auditQuarantines     atomic.Uint64
 }
 
 // Cache is a content-addressed translation cache with LRU eviction by
@@ -219,17 +211,7 @@ type Cache struct {
 	spotEvery int
 	spotClock atomic.Uint64
 	logf      func(format string, args ...any)
-
-	auditMu    sync.Mutex
-	audits     map[string]*audit.Report // module hash -> memoized report
-	auditOrder []string                 // insertion order, for the AuditMemoCap eviction
 }
-
-// AuditMemoCap bounds the memoized audit reports, oldest out first.
-// netserve takes its default registry cap from it: the memo serves the
-// modules a node holds, and a report that fell out (a larger registry,
-// refused modules taking slots) is re-derived on demand.
-const AuditMemoCap = 256
 
 // shardFor hashes k (FNV-1a, inlined to stay allocation-free) to its
 // home shard.
@@ -292,7 +274,6 @@ func NewWith(cfg Config) *Cache {
 		peer:      cfg.Peer,
 		spotEvery: cfg.PeerSpotCheckEvery,
 		logf:      cfg.Logf,
-		audits:    map[string]*audit.Report{},
 	}
 	for i := range c.shards {
 		c.shards[i].byKey = map[string]*list.Element{}
@@ -588,13 +569,7 @@ func (c *Cache) Stats() Stats {
 		PeerQuarantines: c.ctr.peerQuarantines.Load(),
 		SpotChecks:      c.ctr.peerSpotChecks.Load(),
 		SpotCheckFails:  c.ctr.peerSpotCheckFails.Load(),
-
-		Audits:           c.ctr.audits.Load(),
-		AuditHits:        c.ctr.auditHits.Load(),
-		AuditDiskWrites:  c.ctr.auditDiskWrites.Load(),
-		AuditQuarantines: c.ctr.auditQuarantines.Load(),
-
-		CodeBytes: c.bytes.Load(),
+		CodeBytes:       c.bytes.Load(),
 	}
 	for i := range c.shards {
 		sh := &c.shards[i]

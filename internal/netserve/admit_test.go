@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"sync"
 	"testing"
 
-	"omniware/internal/mcache"
 	"omniware/internal/netserve"
 	"omniware/internal/serve"
 	"omniware/internal/wire"
@@ -130,42 +130,161 @@ func TestAdmissionIsOnePath(t *testing.T) {
 	}
 }
 
-// The audit memo is bounded like the registry it serves: a client
-// uploading distinct modules forever grows neither.
-func TestAuditMemoBounded(t *testing.T) {
-	cl, _, srv := startServer(t, serve.Config{Workers: 1}, netserve.Config{
-		Rate: 1e9, Burst: 1e9,
-		Audit: netserve.AuditConfig{Mode: netserve.AuditWarn},
+// isNotFound reports whether err is the server's 404.
+func isNotFound(err error) bool {
+	var se *netserve.StatusError
+	return errors.As(err, &se) && se.Code == http.StatusNotFound
+}
+
+// A module's audit report lives and dies with its registry entry: it
+// leaves when the registry evicts the module, an upload of a registered
+// module reuses it, off mode derives it on the first GET and keeps it,
+// and a module the gate refuses leaves nothing behind. The audit stage
+// histogram takes one sample per derivation, so its count is the
+// number of times a report was derived.
+func TestAuditReportLivesInRegistry(t *testing.T) {
+	audits := func(srv *serve.Server) uint64 { return srv.Snapshot().Stages["audit"].Count }
+
+	t.Run("evicted-with-module", func(t *testing.T) {
+		cl, _, srv := startServer(t, serve.Config{Workers: 1}, netserve.Config{
+			Rate: 1e9, Burst: 1e9,
+			Audit: netserve.AuditConfig{Mode: netserve.AuditWarn},
+		})
+		total := netserve.DefaultMaxModules + 20
+		hashes := make([]string, total)
+		for i := range hashes {
+			up, err := cl.Upload(buildBlob(t, fmt.Sprintf(`int main(void){ return %d; }`, i)))
+			if err != nil {
+				t.Fatalf("upload %d: %v", i, err)
+			}
+			hashes[i] = up.Hash
+		}
+		if _, err := cl.Audit(hashes[0]); !isNotFound(err) {
+			t.Errorf("report for a module the registry evicted: %v, want a 404", err)
+		}
+		rep, err := cl.Audit(hashes[total-1])
+		if err != nil || rep.Hash != hashes[total-1] {
+			t.Fatalf("newest module's report: %v, %v", rep, err)
+		}
+		if n := audits(srv); n != uint64(total) {
+			t.Errorf("%d modules uploaded and one report served: %d derivations, want %d", total, n, total)
+		}
 	})
-	const extra = 20
-	total := netserve.DefaultMaxModules + extra
-	hashes := make([]string, total)
-	for i := range hashes {
-		blob := buildBlob(t, fmt.Sprintf(`int main(void){ return %d; }`, i))
-		up, err := cl.Upload(blob)
+
+	t.Run("reused-on-reupload", func(t *testing.T) {
+		cl, _, srv := startServer(t, serve.Config{Workers: 1}, netserve.Config{
+			Audit: netserve.AuditConfig{Mode: netserve.AuditWarn},
+		})
+		blob := buildBlob(t, chainSrc)
+		first, err := cl.Upload(blob)
 		if err != nil {
-			t.Fatalf("upload %d: %v", i, err)
+			t.Fatal(err)
 		}
-		hashes[i] = up.Hash
+		again, err := cl.Upload(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.Replaced || again.Audit == nil || again.Audit.Digest != first.Audit.Digest {
+			t.Errorf("second upload: %+v, want the first upload's report (digest %s)", again, first.Audit.Digest)
+		}
+		snap := srv.Snapshot()
+		if snap.Stages["audit"].Count != 1 || snap.AuditPass != 2 {
+			t.Errorf("one module uploaded twice: %d derivations, audit_pass %d; want 1 and 2",
+				snap.Stages["audit"].Count, snap.AuditPass)
+		}
+	})
+
+	t.Run("off-mode-derives-once", func(t *testing.T) {
+		cl, _, srv := startServer(t, serve.Config{Workers: 1}, netserve.Config{})
+		up, err := cl.Upload(buildBlob(t, chainSrc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := audits(srv); n != 0 {
+			t.Fatalf("off mode derived %d reports at upload", n)
+		}
+		var digests []string
+		for i := 0; i < 2; i++ {
+			rep, err := cl.Audit(up.Hash)
+			if err != nil {
+				t.Fatal(err)
+			}
+			digests = append(digests, rep.Digest())
+		}
+		if n := audits(srv); n != 1 || digests[0] != digests[1] {
+			t.Errorf("two GETs: %d derivations, digests %v; want one derivation, one report", n, digests)
+		}
+	})
+
+	t.Run("enforce-refusal-keeps-nothing", func(t *testing.T) {
+		cl, _, srv := startServer(t, serve.Config{Workers: 1}, netserve.Config{
+			Audit: netserve.AuditConfig{Mode: netserve.AuditEnforce},
+		})
+		blob := buildBlob(t, recSrc)
+		for i := 0; i < 2; i++ {
+			if _, err := cl.Upload(blob); err == nil {
+				t.Fatal("enforce mode admitted a recursive module")
+			}
+		}
+		if _, err := cl.Audit(wire.Hash(blob)); !isNotFound(err) {
+			t.Errorf("report for a refused module: %v, want a 404", err)
+		}
+		if n := audits(srv); n != 2 {
+			t.Errorf("a refused module uploaded twice: %d derivations, want 2 (nothing kept)", n)
+		}
+	})
+}
+
+// GET /v1/audit on an off-mode module races uploads that evict and
+// re-register it: every answer is that module's report or a 404, and
+// the on-demand derivation's write into the entry is race-free.
+func TestAuditGetRacesEviction(t *testing.T) {
+	cl, _, _ := startServer(t, serve.Config{Workers: 1}, netserve.Config{
+		Rate: 1e9, Burst: 1e9, MaxModules: 2,
+	})
+	blob := buildBlob(t, chainSrc)
+	fillers := [][]byte{
+		buildBlob(t, `int main(void){ return 1; }`),
+		buildBlob(t, `int main(void){ return 2; }`),
 	}
-	memo := 0
-	for _, h := range hashes {
-		if _, ok := srv.Cache().AuditByHash(h); ok {
-			memo++
+	up, err := cl.Upload(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				rep, err := cl.Audit(up.Hash)
+				switch {
+				case err == nil && rep.Hash != up.Hash:
+					errs <- fmt.Errorf("GET %s served the report for %s", up.Hash, rep.Hash)
+					return
+				case err != nil && !isNotFound(err):
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	// Two fresh fillers evict the module from a two-slot registry; the
+	// third upload registers it again.
+	for round := 0; round < 5; round++ {
+		for _, b := range append(fillers, blob) {
+			if _, err := cl.Upload(b); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if st := srv.Cache().Stats(); st.Audits != uint64(total) {
-		t.Fatalf("%d modules uploaded, %d audited", total, st.Audits)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
-	if memo != mcache.AuditMemoCap {
-		t.Errorf("audit memo holds %d of %d audited modules, want the cap %d", memo, total, mcache.AuditMemoCap)
-	}
-	// The newest reports are the ones kept; the oldest left with the
-	// modules the registry evicted.
-	if _, ok := srv.Cache().AuditByHash(hashes[total-1]); !ok {
-		t.Error("newest module's report not memoized")
-	}
-	if _, err := cl.Audit(hashes[0]); err == nil {
-		t.Error("audit report served for a module the registry evicted")
+	if _, err := cl.Audit(up.Hash); err != nil {
+		t.Errorf("registered module's report: %v", err)
 	}
 }

@@ -11,9 +11,11 @@
 // function both roads go through, so a module the policy refuses
 // is never servable from this node — including the peer-fill road,
 // where a cold node re-derives the audit itself rather than trusting
-// the digest the supplying peer advertises. The report itself is
-// memoized and persisted by mcache (Cache.Audit) under the same
-// verified-on-arrival discipline as translations.
+// the digest the supplying peer advertises. The report is kept in the
+// module's registry entry: it is derived once per registration, reused
+// when the same module is uploaded again, and evicted with the module.
+// Nothing is persisted; a module uploaded after a restart is derived
+// afresh.
 package netserve
 
 import (
@@ -121,25 +123,38 @@ func violationText(vs []audit.Violation) string {
 	return strings.Join(parts, "; ")
 }
 
+// analyze derives mod's audit report. Every derivation is one sample
+// of the Audit stage histogram.
+func (h *Handler) analyze(mod *ovm.Module) (*audit.Report, time.Duration, error) {
+	start := time.Now()
+	rep, err := audit.Analyze(mod)
+	dur := time.Since(start)
+	h.srv.Metrics().Observe(metrics.StageAudit, dur)
+	return rep, dur, err
+}
+
 // runAudit sends one decoded module through the admission audit and
-// applies the configured policy. Analysis cost lands in the Audit
-// stage histogram; outcomes land in the pass/warn/reject counters by
-// reason. what names the module in logs and error bodies. A non-nil
-// error is an analysis failure (not a policy verdict) and refuses the
-// module in every mode but off.
+// applies the configured policy. A module already registered under
+// hash keeps the report its registration derived; any other is
+// analyzed now. Outcomes land in the pass/warn/reject counters by
+// reason on every admission. what names the module in logs and error
+// bodies. A non-nil error is an analysis failure (not a policy
+// verdict) and refuses the module in every mode but off.
 func (h *Handler) runAudit(mod *ovm.Module, hash, what string) (auditOutcome, error) {
 	var out auditOutcome
 	if !h.cfg.Audit.enabled() {
 		return out, nil
 	}
-	met := h.srv.Metrics()
-	start := time.Now()
-	rep, err := h.srv.Cache().Audit(mod, hash)
-	out.dur = time.Since(start)
-	met.Observe(metrics.StageAudit, out.dur)
-	if err != nil {
-		return out, fmt.Errorf("auditing %s: %w", what, err)
+	h.mu.Lock()
+	rep := h.mods[hash].rep
+	h.mu.Unlock()
+	if rep == nil {
+		var err error
+		if rep, out.dur, err = h.analyze(mod); err != nil {
+			return out, fmt.Errorf("auditing %s: %w", what, err)
+		}
 	}
+	met := h.srv.Metrics()
 	out.rep = rep
 	out.violations = rep.Violations(h.cfg.Audit.limits())
 	if len(out.violations) == 0 {
@@ -160,28 +175,33 @@ func (h *Handler) runAudit(mod *ovm.Module, hash, what string) (auditOutcome, er
 	return out, nil
 }
 
-// handleAuditGet serves the full audit report for an uploaded module.
-// The report is derived on demand when the gate is off (or predates
-// the module), so the endpoint works in every mode — but only for
-// modules this node actually holds: a report is only served alongside
-// the module it describes.
+// handleAuditGet serves the full audit report for a registered module.
+// When the gate is off the report is derived on the first request and
+// kept in the entry, so the endpoint works in every mode — but only
+// for modules this node actually holds: a report is only served
+// alongside the module it describes.
 func (h *Handler) handleAuditGet(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
-	if rep, ok := h.srv.Cache().AuditByHash(hash); ok {
-		writeJSON(w, http.StatusOK, rep)
-		return
-	}
 	h.mu.Lock()
-	ent := h.mods[hash]
+	ent, ok := h.mods[hash]
 	h.mu.Unlock()
-	if ent.mod == nil {
+	if !ok {
 		writeError(w, http.StatusNotFound, "module %q not uploaded", hash)
 		return
 	}
-	rep, err := h.srv.Cache().Audit(ent.mod, hash)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "auditing module %s: %v", hash, err)
-		return
+	rep := ent.rep
+	if rep == nil {
+		var err error
+		if rep, _, err = h.analyze(ent.mod); err != nil {
+			writeError(w, http.StatusInternalServerError, "auditing module %s: %v", hash, err)
+			return
+		}
+		h.mu.Lock()
+		if cur, ok := h.mods[hash]; ok && cur.rep == nil {
+			cur.rep = rep
+			h.mods[hash] = cur
+		}
+		h.mu.Unlock()
 	}
 	writeJSON(w, http.StatusOK, rep)
 }

@@ -215,7 +215,9 @@ func TestAuditConfigValidation(t *testing.T) {
 	}
 }
 
-// The cache's audit counters reach /v1/metrics in both renderings.
+// The audit counters reach /v1/metrics in both renderings: one module
+// uploaded twice is one derivation (the audit stage's sample count)
+// and two gate passes.
 func TestAuditCountersReachMetrics(t *testing.T) {
 	cl, _, _ := startServer(t, serve.Config{Workers: 1}, netserve.Config{
 		Audit: netserve.AuditConfig{Mode: netserve.AuditWarn},
@@ -230,15 +232,20 @@ func TestAuditCountersReachMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.CacheAudits != 1 || snap.CacheAuditHits < 1 {
-		t.Errorf("one module uploaded twice: cache_audits = %d (want 1), cache_audit_hits = %d (want >= 1)",
-			snap.CacheAudits, snap.CacheAuditHits)
+	if snap.Stages["audit"].Count != 1 || snap.AuditPass != 2 {
+		t.Errorf("one module uploaded twice: stages.audit.count = %d (want 1), audit_pass = %d (want 2)",
+			snap.Stages["audit"].Count, snap.AuditPass)
 	}
 	prom, err := cl.MetricsProm()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(prom, "\nomni_cache_audits_total 1\n") {
-		t.Errorf("exposition lacks omni_cache_audits_total 1:\n%s", prom)
+	for _, want := range []string{
+		"\nomni_stage_latency_seconds_count{stage=\"audit\"} 1\n",
+		"\nomni_audit_pass_total 2\n",
+	} {
+		if !strings.Contains(prom, want) {
+			t.Errorf("exposition lacks %q:\n%s", strings.TrimSpace(want), prom)
+		}
 	}
 }

@@ -55,6 +55,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"omniware/internal/audit"
 	"omniware/internal/core"
 	"omniware/internal/mcache"
 	"omniware/internal/ovm"
@@ -72,7 +73,7 @@ const RequestIDHeader = "X-Omni-Request-Id"
 
 // Defaults for Config zero values.
 const (
-	DefaultMaxModules      = mcache.AuditMemoCap // 256: the audit memo is sized to hold a default registry's reports
+	DefaultMaxModules      = 256
 	DefaultMaxModuleBytes  = 16 << 20
 	DefaultRate            = 50  // requests/second/client
 	DefaultBurst           = 100 // bucket capacity
@@ -126,14 +127,19 @@ type Handler struct {
 }
 
 // modEntry is one registered module plus its canonical encoding (what
-// the peer endpoint serves — the bytes whose hash is the identity) and
+// the peer endpoint serves — the bytes whose hash is the identity),
 // the wire-decode cost paid for it, which exec jobs inherit as the
-// "decode" stage of their trace.
+// "decode" stage of their trace, and its audit report, which lives and
+// dies with the entry.
 type modEntry struct {
 	mod    *ovm.Module
 	blob   []byte
 	decode time.Duration
 	audit  time.Duration // admission-audit cost, backdated into exec traces
+	// rep is the audit report: derived at admission when the gate is
+	// on, on the first GET /v1/audit/{hash} when it is off (nil until
+	// then).
+	rep *audit.Report
 }
 
 // New builds a Handler over cfg.Server.
@@ -353,7 +359,7 @@ func (h *Handler) admit(blob []byte, want, what string) (admission, *refusal) {
 		return admission{}, &refusal{http.StatusUnprocessableEntity, err}
 	}
 	adm := admission{hash: hash, out: out,
-		ent: modEntry{mod: mod, blob: canon, decode: decodeDur, audit: out.dur}}
+		ent: modEntry{mod: mod, blob: canon, decode: decodeDur, audit: out.dur, rep: out.rep}}
 	adm.existed = h.register(adm.ent, hash)
 	return adm, nil
 }

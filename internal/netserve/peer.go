@@ -125,8 +125,8 @@ func (h *Handler) handlePeerModule(w http.ResponseWriter, r *http.Request) {
 	h.finishPeerServe(w, tr, "ok")
 	// Advertise this node's audit digest when it has derived one; the
 	// receiver re-derives and compares rather than trusting it.
-	if rep, ok := h.srv.Cache().AuditByHash(hash); ok {
-		w.Header().Set(AuditDigestHeader, rep.Digest())
+	if ent.rep != nil {
+		w.Header().Set(AuditDigestHeader, ent.rep.Digest())
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	_, _ = w.Write(ent.blob)

@@ -61,17 +61,18 @@ type reader struct {
 }
 
 // Block schedules the instructions of one basic block in place. It
-// reorders the straight-line body before the first control transfer
-// (or syscall) within the body's own slots; everything from that
-// transfer on keeps its position, so a block ending in a conditional
-// branch and its else-jump keeps both. Register dependences are honoured exactly,
+// reorders the straight-line body before the first control transfer,
+// syscall, halt or break within the body's own slots; everything from
+// that instruction on keeps its position, so a block ending in a
+// conditional branch and its else-jump keeps both, and nothing moves
+// past a halt. Register dependences are honoured exactly,
 // memory operations keep their order with respect to stores, and
 // compares keep their order.
 func (s *Scheduler) Block(insts []target.Inst, m *target.Machine) {
 	k := len(insts)
 	for i := range insts {
 		op := insts[i].Op
-		if op.IsBranch() || op.IsJump() || op == target.Syscall {
+		if op.IsBranch() || op.IsJump() || op == target.Syscall || op == target.Halt || op == target.Break {
 			k = i
 			break
 		}

@@ -28,8 +28,8 @@ func checkLegal(t *testing.T, before, after []target.Inst) {
 // The dependences are the scheduler's model, stated pairwise: register
 // RAW, WAR and WAW; memory order between two memory operations when
 // either writes memory; flag order between compares and between a
-// compare and a flag reader; and control transfers order against
-// everything.
+// compare and a flag reader; and control transfers, syscalls, halts
+// and breaks order against everything.
 func legalityErr(before, after []target.Inst) error {
 	if len(before) != len(after) {
 		return fmt.Errorf("length changed: %d -> %d", len(before), len(after))
@@ -82,7 +82,8 @@ func dependence(a, b *target.Inst) string {
 }
 
 func isControl(in *target.Inst) bool {
-	return in.Op.IsBranch() || in.Op.IsJump() || in.Op == target.Syscall
+	op := in.Op
+	return op.IsBranch() || op.IsJump() || op == target.Syscall || op == target.Halt || op == target.Break
 }
 
 // regWritten is the register in writes: Rd, except for stores, whose
@@ -171,16 +172,36 @@ func TestScheduleRespectsStores(t *testing.T) {
 	}
 }
 
+// Everything from the first control transfer, syscall, halt or break
+// on keeps its position: a store after a halt never runs, so it must
+// not be hoisted above it.
 func TestScheduleStopsAtFirstControl(t *testing.T) {
-	m := mips()
-	block := []target.Inst{
-		inst(target.AddI, 2, 0, target.NoReg),
-		{Op: target.Beqz, Rd: target.NoReg, Rs1: 2, Rs2: target.NoReg, Target: 5},
-		{Op: target.J, Rd: target.NoReg, Rs1: target.NoReg, Rs2: target.NoReg, Target: 9},
+	none := target.NoReg
+	blocks := [][]target.Inst{{
+		inst(target.AddI, 2, 0, none),
+		{Op: target.Beqz, Rd: none, Rs1: 2, Rs2: none, Target: 5},
+		{Op: target.J, Rd: none, Rs1: none, Rs2: none, Target: 9},
+	}}
+	for _, stop := range []target.Op{target.Halt, target.Break} {
+		blocks = append(blocks, []target.Inst{
+			inst(target.Lw, 2, 29, none),
+			inst(target.Sw, 3, 2, none),
+			inst(stop, none, none, none),
+		})
 	}
-	out := schedule(block, m)
-	if out[1].Op != target.Beqz || out[2].Op != target.J {
-		t.Errorf("control tail reordered: %v", out)
+	for _, block := range blocks {
+		for _, m := range target.Machines() {
+			out := schedule(block, m)
+			if err := legalityErr(block, out); err != nil {
+				t.Errorf("%s: %v", m.Name, err)
+			}
+			for i := 1; i < len(block); i++ {
+				if out[i] != block[i] {
+					t.Errorf("%s: block ending in %v: tail reordered: %v", m.Name, block[len(block)-1].Op, out)
+					break
+				}
+			}
+		}
 	}
 }
 

@@ -63,11 +63,6 @@ func fixtureSnapshot(n uint64) Snapshot {
 		CacheSpotChecks:      18 + n,
 		CacheSpotCheckFails:  20 + n,
 
-		CacheAudits:           21 + n,
-		CacheAuditHits:        22 + n,
-		CacheAuditDiskWrites:  23 + n,
-		CacheAuditQuarantines: 24 + n,
-
 		AuditPass:    25 + n,
 		AuditWarns:   map[string]uint64{"stack": 26 + n, "cost": 27 + n, "capability": 28 + n, "recursion": 29 + n},
 		AuditRejects: map[string]uint64{"stack": 30 + n, "cost": 31 + n, "capability": 32 + n, "recursion": 33 + n},

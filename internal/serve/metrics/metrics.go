@@ -157,14 +157,8 @@ type Snapshot struct {
 	CacheSpotChecks      uint64 `json:"cache_spot_checks,omitempty"`
 	CacheSpotCheckFails  uint64 `json:"cache_spot_check_fails,omitempty"`
 
-	// Audit pipeline counters (the cache's memoized derivations) and
-	// gate outcomes. The warn/reject maps carry every AuditReasons key,
-	// pre-registered at zero.
-	CacheAudits           uint64 `json:"cache_audits"`
-	CacheAuditHits        uint64 `json:"cache_audit_hits"`
-	CacheAuditDiskWrites  uint64 `json:"cache_audit_disk_writes"`
-	CacheAuditQuarantines uint64 `json:"cache_audit_quarantines"`
-
+	// Audit gate outcomes. The warn/reject maps carry every
+	// AuditReasons key, pre-registered at zero.
 	AuditPass    uint64            `json:"audit_pass"`
 	AuditWarns   map[string]uint64 `json:"audit_warns"`
 	AuditRejects map[string]uint64 `json:"audit_rejects"`

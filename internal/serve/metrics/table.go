@@ -55,10 +55,6 @@ var (
 	_ = counter("cache_disk_quarantines", "Disk entries quarantined after failing re-verification.", func(s *Snapshot) *uint64 { return &s.CacheDiskQuarantines })
 	_ = counter("cache_disagreements", "Dual-gate admissions where the two SFI verifiers split the verdict.", func(s *Snapshot) *uint64 { return &s.CacheDisagreements })
 
-	_         = counter("cache_audits", "Audit pipeline runs (memoization misses).", func(s *Snapshot) *uint64 { return &s.CacheAudits })
-	_         = counter("cache_audit_hits", "Audit reports served memoized.", func(s *Snapshot) *uint64 { return &s.CacheAuditHits })
-	_         = counter("cache_audit_disk_writes", "Audit reports written through to the persistent tier.", func(s *Snapshot) *uint64 { return &s.CacheAuditDiskWrites })
-	_         = counter("cache_audit_quarantines", "Stored audits that disagreed with re-derivation and were set aside.", func(s *Snapshot) *uint64 { return &s.CacheAuditQuarantines })
 	AuditPass = counter("audit_pass", "Uploads the audit gate admitted without violation.", func(s *Snapshot) *uint64 { return &s.AuditPass })
 
 	// The cluster peer-fill counters are the rows from here on: both
@@ -73,8 +69,9 @@ var (
 )
 
 // Stage indexes the pipeline stages that have a latency histogram, in
-// reporting order: wire decode (uploads), static audit (admission-time
-// analysis, recorded by the upload path), queue wait (admission to
+// reporting order: wire decode (uploads), static audit (one sample per
+// report derivation: at admission, or on the first GET /v1/audit/{hash}
+// when the gate is off), queue wait (admission to
 // dequeue), the translate stage (cache lookup through admission), the
 // cluster peer probe within it (when a peer source is wired), SFI
 // verification alone, and job run time (dequeue to completion, queue

@@ -311,10 +311,6 @@ func cacheSection(snap *metrics.Snapshot, cs mcache.Stats) {
 	snap.CachePeerQuarantines = cs.PeerQuarantines
 	snap.CacheSpotChecks = cs.SpotChecks
 	snap.CacheSpotCheckFails = cs.SpotCheckFails
-	snap.CacheAudits = cs.Audits
-	snap.CacheAuditHits = cs.AuditHits
-	snap.CacheAuditDiskWrites = cs.AuditDiskWrites
-	snap.CacheAuditQuarantines = cs.AuditQuarantines
 }
 
 // SetClusterSnapshot installs the provider for the cluster section of
