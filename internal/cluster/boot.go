@@ -24,7 +24,6 @@ type BootConfig struct {
 	QueueCap int     // per-node admission queue cap (0 = default)
 	Rate     float64 // per-client rate limit (0 = netserve default)
 	Burst    float64 // per-client burst allowance
-	Verify   mcache.VerifyMode
 	Logf     func(format string, args ...any)
 }
 
@@ -130,11 +129,7 @@ func BootLocal(cfg BootConfig) (*Local, error) {
 			l.Close()
 			return fail(err)
 		}
-		cache := mcache.NewWith(mcache.Config{
-			Verify: cfg.Verify,
-			Peer:   peers,
-			Logf:   cfg.Logf,
-		})
+		cache := mcache.NewWith(mcache.Config{Peer: peers, Logf: cfg.Logf})
 		srv := serve.New(serve.Config{Workers: cfg.Workers, QueueCap: cfg.QueueCap, Cache: cache})
 		srv.SetClusterSnapshot(peers.Snapshot)
 		h, err := netserve.New(netserve.Config{

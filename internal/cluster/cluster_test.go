@@ -51,13 +51,12 @@ func encodeMod(t *testing.T, mod *ovm.Module) []byte {
 	return blob
 }
 
-func bootCluster(t *testing.T, n int, verify mcache.VerifyMode) *cluster.Local {
+func bootCluster(t *testing.T, n int) *cluster.Local {
 	t.Helper()
 	l, err := cluster.BootLocal(cluster.BootConfig{
 		Nodes:   n,
 		Fanout:  2,
 		Workers: 2,
-		Verify:  verify,
 		Logf:    t.Logf,
 	})
 	if err != nil {
@@ -83,7 +82,7 @@ func nodeByAddr(t *testing.T, l *cluster.Local, addr string) *cluster.Node {
 // translations — the translation arrives by peer fill, re-verified,
 // and the fill is visible in the trace and the metrics.
 func TestPeerFillAcrossNodes(t *testing.T) {
-	l := bootCluster(t, 3, mcache.VerifyCheck)
+	l := bootCluster(t, 3)
 	blob := buildAndEncode(t)
 	hash := wire.Hash(blob)
 
@@ -184,8 +183,8 @@ func stripSandboxMask(t *testing.T, prog *target.Program, m *target.Machine) {
 }
 
 // The adversarial-peer harness: a fake cluster member serves
-// corrupted, truncated, mis-keyed, and valid-but-unverifiable
-// translation frames. In every case the victim node must quarantine
+// corrupted, truncated, mis-keyed, valid-but-unverifiable and
+// previous-translator translation frames. In every case the victim node must quarantine
 // the response, fall back to a local translation, and serve correct
 // results — an adversarial peer can cost work, never safety.
 func TestAdversarialPeers(t *testing.T) {
@@ -202,6 +201,19 @@ func TestAdversarialPeers(t *testing.T) {
 	tampered.Code = append([]target.Inst(nil), honest.Code...)
 	stripSandboxMask(t, &tampered, m)
 	tamperedBytes, err := wire.EncodeProgram(&tampered)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Contained but unscheduled: a stand-in for what an older
+	// translator emitted for the same module.
+	unsched := opt
+	unsched.Schedule = false
+	stale, err := translate.Translate(mod, m, si, unsched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	staleBytes, err := wire.EncodeProgram(stale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,83 +250,89 @@ func TestAdversarialPeers(t *testing.T) {
 		{"unverifiable", func(t *testing.T, key string) []byte {
 			return frameFor(t, key, tamperedBytes)
 		}, true, mcache.QuarantineVerifier},
+		// An honest member still running the previous translator: its
+		// contained program is filed under the key format that binary
+		// used, which names no translator. It is not this translator's
+		// output, so the binding, not the verifier, refuses it.
+		{"previous-translator", func(t *testing.T, key string) []byte {
+			f := strings.Split(key, "|")
+			return frameFor(t, "k1|"+strings.Join(f[1:5], "|"), staleBytes)
+		}, false, mcache.QuarantineKeyMismatch},
 	}
 
-	for _, mode := range []mcache.VerifyMode{mcache.VerifyCheck, mcache.VerifyBoth} {
-		for _, tc := range cases {
-			t.Run(tc.name+"/"+mode.String(), func(t *testing.T) {
-				evil := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					if !strings.Contains(r.URL.Path, "/v1/peer/translation/") {
-						http.NotFound(w, r)
-						return
-					}
-					w.Header().Set("Content-Type", "application/octet-stream")
-					_, _ = w.Write(tc.body(t, r.URL.Query().Get("key")))
-				}))
-				defer evil.Close()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			evil := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if !strings.Contains(r.URL.Path, "/v1/peer/translation/") {
+					http.NotFound(w, r)
+					return
+				}
+				w.Header().Set("Content-Type", "application/octet-stream")
+				_, _ = w.Write(tc.body(t, r.URL.Query().Get("key")))
+			}))
+			defer evil.Close()
 
-				self := "http://self.invalid"
-				peers, err := cluster.New(cluster.Config{
-					Self:    self,
-					Members: []string{self, evil.URL},
-					Secret:  "test-peer-secret",
-					Fanout:  2,
-					Logf:    t.Logf,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				c := mcache.NewWith(mcache.Config{Verify: mode, Peer: peers, Logf: t.Logf})
-
-				prog, warm, err := c.Translate(mod, m, si, opt)
-				if err != nil {
-					t.Fatalf("lookup failed instead of falling back: %v", err)
-				}
-				if warm {
-					t.Fatal("adversarial candidate was served as a peer fill")
-				}
-				// The served program is the honest local translation
-				// — its sandboxing mask is intact.
-				if !hasSandboxMask(prog, m) {
-					t.Error("served program lacks the sandboxing mask")
-				}
-				st := c.Stats()
-				if st.PeerHits != 0 {
-					t.Errorf("peer hits = %d, want 0", st.PeerHits)
-				}
-				if st.Misses != 1 {
-					t.Errorf("misses = %d, want 1 (local retranslation)", st.Misses)
-				}
-				if tc.cacheQuarantine && st.PeerQuarantines != 1 {
-					t.Errorf("cache peer quarantines = %d, want 1", st.PeerQuarantines)
-				}
-				snap := peers.Snapshot()
-				if len(snap.Peers) != 1 || snap.Peers[0].Peer != evil.URL {
-					t.Fatalf("cluster snapshot peers %+v", snap.Peers)
-				}
-				if q := snap.Peers[0].Quarantines; q != 1 {
-					t.Errorf("per-peer quarantines = %d, want 1", q)
-				}
-				if got := snap.Peers[0].QuarantinesByReason[tc.reason]; got != 1 {
-					t.Errorf("quarantines under reason %q = %d, want 1 (map %v)",
-						tc.reason, got, snap.Peers[0].QuarantinesByReason)
-				}
-				var reasonTotal uint64
-				for _, v := range snap.Peers[0].QuarantinesByReason {
-					reasonTotal += v
-				}
-				if reasonTotal != snap.Peers[0].Quarantines {
-					t.Errorf("reason-split sum %d != total quarantines %d",
-						reasonTotal, snap.Peers[0].Quarantines)
-				}
-				if h := snap.Peers[0].Hits; h != 0 {
-					t.Errorf("per-peer hits = %d, want 0", h)
-				}
-				if snap.Peers[0].StalenessMs < 0 {
-					t.Error("peer answered (with garbage) but staleness says never contacted")
-				}
+			self := "http://self.invalid"
+			peers, err := cluster.New(cluster.Config{
+				Self:    self,
+				Members: []string{self, evil.URL},
+				Secret:  "test-peer-secret",
+				Fanout:  2,
+				Logf:    t.Logf,
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := mcache.NewWith(mcache.Config{Peer: peers, Logf: t.Logf})
+
+			prog, warm, err := c.Translate(mod, m, si, opt)
+			if err != nil {
+				t.Fatalf("lookup failed instead of falling back: %v", err)
+			}
+			if warm {
+				t.Fatal("adversarial candidate was served as a peer fill")
+			}
+			// The served program is the honest local translation
+			// — its sandboxing mask is intact.
+			if !hasSandboxMask(prog, m) {
+				t.Error("served program lacks the sandboxing mask")
+			}
+			st := c.Stats()
+			if st.PeerHits != 0 {
+				t.Errorf("peer hits = %d, want 0", st.PeerHits)
+			}
+			if st.Misses != 1 {
+				t.Errorf("misses = %d, want 1 (local retranslation)", st.Misses)
+			}
+			if tc.cacheQuarantine && st.PeerQuarantines != 1 {
+				t.Errorf("cache peer quarantines = %d, want 1", st.PeerQuarantines)
+			}
+			snap := peers.Snapshot()
+			if len(snap.Peers) != 1 || snap.Peers[0].Peer != evil.URL {
+				t.Fatalf("cluster snapshot peers %+v", snap.Peers)
+			}
+			if q := snap.Peers[0].Quarantines; q != 1 {
+				t.Errorf("per-peer quarantines = %d, want 1", q)
+			}
+			if got := snap.Peers[0].QuarantinesByReason[tc.reason]; got != 1 {
+				t.Errorf("quarantines under reason %q = %d, want 1 (map %v)",
+					tc.reason, got, snap.Peers[0].QuarantinesByReason)
+			}
+			var reasonTotal uint64
+			for _, v := range snap.Peers[0].QuarantinesByReason {
+				reasonTotal += v
+			}
+			if reasonTotal != snap.Peers[0].Quarantines {
+				t.Errorf("reason-split sum %d != total quarantines %d",
+					reasonTotal, snap.Peers[0].Quarantines)
+			}
+			if h := snap.Peers[0].Hits; h != 0 {
+				t.Errorf("per-peer hits = %d, want 0", h)
+			}
+			if snap.Peers[0].StalenessMs < 0 {
+				t.Error("peer answered (with garbage) but staleness says never contacted")
+			}
+		})
 	}
 }
 
@@ -333,7 +351,7 @@ func hasSandboxMask(prog *target.Program, m *target.Machine) bool {
 // /v1/cluster/metrics on any node reports fleet-summed histograms
 // equal bucket-wise to the sum of the members' local snapshots.
 func TestStitchedTraceAndFleetMetrics(t *testing.T) {
-	l := bootCluster(t, 3, mcache.VerifyCheck)
+	l := bootCluster(t, 3)
 	blob := buildAndEncode(t)
 	hash := wire.Hash(blob)
 
@@ -473,7 +491,7 @@ func TestStitchedTraceAndFleetMetrics(t *testing.T) {
 // owners, killing one mid-stream fails over with zero caller-visible
 // errors.
 func TestClientFailover(t *testing.T) {
-	l := bootCluster(t, 3, mcache.VerifyCheck)
+	l := bootCluster(t, 3)
 	cl := l.Client(2)
 	blob := buildAndEncode(t)
 
@@ -547,7 +565,7 @@ func TestClosedLabelSetsMirrored(t *testing.T) {
 		t.Errorf("metrics.AuditReasons = %v, audit.GateReasons = %v", got, audit.GateReasons)
 	}
 
-	l := bootCluster(t, 2, mcache.VerifyCheck)
+	l := bootCluster(t, 2)
 	snap := l.Nodes[0].Server.Snapshot()
 	if snap.Cluster == nil || len(snap.Cluster.Peers) != 1 {
 		t.Fatalf("cluster section: %+v", snap.Cluster)

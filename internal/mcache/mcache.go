@@ -1,14 +1,14 @@
 // Package mcache is the verified translation cache behind the serving
 // layer: load-time translation is paid once per (module, machine,
-// options, segment shape) and the resulting native program is shared by
-// every subsequent sandboxed instance. Admission is gated on the SFI
-// verifier — every entry is re-checked against the policy it will run
-// under before it becomes visible, so the cache can never serve
-// unsandboxed code even if the translator (or whoever handed us a
-// pre-translated program) is buggy or malicious. This mirrors the
-// translator/verifier split of the SFI literature: the translator stays
-// outside the trusted computing base, and the cache is the choke point
-// where the proof is checked.
+// options, segment shape, translator version) and the resulting native
+// program is shared by every subsequent sandboxed instance. Admission is
+// gated on the SFI verifier, sfi.Check — every entry is re-checked
+// against the policy it will run under before it becomes visible, so
+// the cache can never serve unsandboxed code even if the translator (or
+// whoever handed us a pre-translated program) is buggy or malicious.
+// This mirrors the translator/verifier split of the SFI literature: the
+// translator stays outside the trusted computing base, and the cache is
+// the choke point where the proof is checked.
 //
 // Concurrent requests for the same key are deduplicated: one caller
 // translates while the rest wait for its result, so a burst of jobs for
@@ -33,7 +33,6 @@ import (
 	"omniware/internal/mcache/diskstore"
 	"omniware/internal/ovm"
 	"omniware/internal/sfi"
-	"omniware/internal/sfi/absint"
 	"omniware/internal/target"
 	"omniware/internal/trace"
 	"omniware/internal/translate"
@@ -50,37 +49,16 @@ var ErrUnsandboxed = errors.New("mcache: refusing to cache a translation without
 // code, estimated) when New is given a non-positive limit.
 const DefaultLimit = 64 << 20
 
-// VerifyMode selects which SFI verifier(s) gate admission. The two
-// implementations share nothing but the instruction decoder —
-// sfi.Check is a linear scan with a fold-state machine, absint.Check
-// an abstract interpreter over the CFG — so running both and
-// demanding agreement means a single-verifier soundness bug cannot
-// admit an uncontained program on its own.
+// VerifyMode names the admission gate, which is sfi.Check and nothing
+// else. It has one value and exists only because the benchmark module
+// still compiles against it (Config.Verify, VerifyCheck, String); the
+// shim goes with the benchmark change of ROADMAP item 7(a).
 type VerifyMode int
 
-const (
-	// VerifyCheck gates admission on sfi.Check alone — the production
-	// default: one linear pass, no CFG construction.
-	VerifyCheck VerifyMode = iota
-	// VerifyAbsint gates admission on the abstract interpreter alone.
-	VerifyAbsint
-	// VerifyBoth runs both verifiers and admits only when both accept.
-	// A disagreement (either direction) rejects the program and is
-	// counted in Stats.Disagreements — it means one of the verifiers
-	// has a bug, and the cache refuses to guess which.
-	VerifyBoth
-)
+// VerifyCheck is the one gate: sfi.Check.
+const VerifyCheck VerifyMode = 0
 
-func (v VerifyMode) String() string {
-	switch v {
-	case VerifyAbsint:
-		return "absint"
-	case VerifyBoth:
-		return "both"
-	default:
-		return "check"
-	}
-}
+func (VerifyMode) String() string { return "check" }
 
 // instCost estimates the in-memory size of one target.Inst for the
 // eviction budget. Exactness doesn't matter; monotonicity in code
@@ -101,21 +79,15 @@ type Stats struct {
 	Inserts   uint64
 	Evictions uint64
 	Rejected  uint64 // admission failures: verifier refused the program
-	// Disagreements counts VerifyBoth admissions where the two
-	// verifiers returned different verdicts. Every disagreement is
-	// also a rejection; a nonzero value means a verifier bug.
-	Disagreements uint64
-	Entries       int
-	CodeBytes     int64
+	Entries   int
+	CodeBytes int64
 
 	DiskHits        uint64 // programs served from disk after re-verification
 	DiskWrites      uint64 // programs written through to the persistent tier
 	DiskQuarantines uint64 // disk entries refused (corrupt or unverifiable) and set aside
 
 	PeerHits        uint64 // programs admitted from a cluster peer (verified again, not retranslated)
-	PeerQuarantines uint64 // peer candidates refused by the admission gate or spot check
-	SpotChecks      uint64 // peer admissions sampled for retranslation equality
-	SpotCheckFails  uint64 // spot checks where the peer's program was not the local translation
+	PeerQuarantines uint64 // peer candidates refused by the admission gate
 }
 
 // ModuleHash returns the content address of a module: the hex SHA-256
@@ -127,18 +99,26 @@ func ModuleHash(mod *ovm.Module) string {
 	return wire.HashModule(mod)
 }
 
+// keyFormat is the key's format prefix. It changes when the key's
+// fields change, so an old key is an explicit parse error, not a
+// misparse.
+const keyFormat = "k2"
+
 // key identifies one translation: same module content, same target
-// machine, same translator options, same segment shape. Any difference
-// in these changes the emitted code (or the SFI masks baked into it),
-// so they are all part of the identity. The format is explicit —
-// field by field, versioned — because keys outlive the process: the
-// persistent tier files entries under them, and a silent key change
-// would detach every stored translation.
+// machine, same translator options, same segment shape, same
+// translator. Any difference in these changes the emitted code (or the
+// SFI masks baked into it), so they are all part of the identity. The
+// format is explicit — field by field, versioned — because keys
+// outlive the process: the persistent tier files entries under them
+// and peers serve them, and a translation made by another translator
+// version must be a miss, not a hit on code this binary would not
+// produce.
 func key(modHash string, mach *target.Machine, si translate.SegInfo, opt translate.Options) string {
-	return fmt.Sprintf("k1|%s|%s|%08x.%08x.%08x.%08x|sfi=%t,sched=%t,gp=%t,peep=%t,hoist=%t,rsfi=%t",
-		modHash, mach.Name,
+	return fmt.Sprintf("%s|%s|%s|%08x.%08x.%08x.%08x|sfi=%t,sched=%t,gp=%t,peep=%t,hoist=%t,rsfi=%t|tr=%d",
+		keyFormat, modHash, mach.Name,
 		si.DataBase, si.DataMask, si.GPValue, si.RegSave,
-		opt.SFI, opt.Schedule, opt.GlobalPointer, opt.Peephole, opt.SFIHoist, opt.ReadSFI)
+		opt.SFI, opt.Schedule, opt.GlobalPointer, opt.Peephole, opt.SFIHoist, opt.ReadSFI,
+		translate.Version)
 }
 
 // Key returns the full cache key for one translation identity — the
@@ -185,10 +165,9 @@ type shard struct {
 type counters struct {
 	lookups, hits, coalesced, misses      atomic.Uint64
 	inserts, evictions                    atomic.Uint64
-	rejected, disagreements               atomic.Uint64
+	rejected                              atomic.Uint64
 	diskHits, diskWrites, diskQuarantines atomic.Uint64
 	peerHits, peerQuarantines             atomic.Uint64
-	peerSpotChecks, peerSpotCheckFails    atomic.Uint64
 }
 
 // Cache is a content-addressed translation cache with LRU eviction by
@@ -200,17 +179,14 @@ type counters struct {
 // oldest entry has the smallest use stamp, which preserves the
 // single-LRU behavior up to races between concurrent touches.
 type Cache struct {
-	limit     int64
-	bytes     atomic.Int64
-	clock     atomic.Uint64
-	shards    [numShards]shard
-	ctr       counters
-	disk      *diskstore.Store
-	verify    VerifyMode
-	peer      PeerSource
-	spotEvery int
-	spotClock atomic.Uint64
-	logf      func(format string, args ...any)
+	limit  int64
+	bytes  atomic.Int64
+	clock  atomic.Uint64
+	shards [numShards]shard
+	ctr    counters
+	disk   *diskstore.Store
+	peer   PeerSource
+	logf   func(format string, args ...any)
 }
 
 // shardFor hashes k (FNV-1a, inlined to stay allocation-free) to its
@@ -235,18 +211,13 @@ type Config struct {
 	// Disk entries are re-verified on every read; failures are
 	// quarantined and logged.
 	Disk *diskstore.Store
-	// Verify selects the admission gate: sfi.Check alone (the zero
-	// value), the abstract interpreter alone, or both-must-agree.
+	// Verify names the admission gate; VerifyCheck is its only value.
 	Verify VerifyMode
 	// Peer, when non-nil, is probed on a memory+disk miss for an
 	// existing translation before retranslating. Peer candidates pass
 	// the same admission gate as disk entries; refusals are counted
 	// and reported back per peer.
 	Peer PeerSource
-	// PeerSpotCheckEvery samples every Nth peer admission for an
-	// integrity spot check: the module is retranslated locally and the
-	// two programs must match instruction for instruction. 0 disables.
-	PeerSpotCheckEvery int
 	// Logf receives quarantine and disk-failure reports (default
 	// log.Printf). Disk problems never fail a lookup — the cache falls
 	// back to translating — so the log is their only trace.
@@ -268,12 +239,10 @@ func NewWith(cfg Config) *Cache {
 		cfg.Logf = log.Printf
 	}
 	c := &Cache{
-		limit:     cfg.Limit,
-		disk:      cfg.Disk,
-		verify:    cfg.Verify,
-		peer:      cfg.Peer,
-		spotEvery: cfg.PeerSpotCheckEvery,
-		logf:      cfg.Logf,
+		limit: cfg.Limit,
+		disk:  cfg.Disk,
+		peer:  cfg.Peer,
+		logf:  cfg.Logf,
 	}
 	for i := range c.shards {
 		c.shards[i].byKey = map[string]*list.Element{}
@@ -356,10 +325,7 @@ func (c *Cache) translateTraced(sp *trace.Span, mod *ovm.Module, mach *target.Ma
 	if fromDisk {
 		sp.Set("result", "disk")
 	} else if usePeer && c.peer != nil {
-		retranslate := func() (*target.Program, error) {
-			return translate.Translate(mod, mach, si, opt)
-		}
-		if p, ok := c.loadFromPeer(sp, k, retranslate, mach, si); ok {
+		if p, ok := c.loadFromPeer(sp, k, mach, si); ok {
 			prog, warm = p, true
 			sp.Set("result", "peer")
 		}
@@ -451,45 +417,19 @@ func (c *Cache) writeThrough(sp *trace.Span, k string, prog *target.Program) {
 	c.ctr.diskWrites.Add(1)
 }
 
-// admit is the verifier gate every entry passes through. Which
-// verifier(s) run is the cache's VerifyMode; under VerifyBoth the two
-// must agree, and a split verdict is rejected and counted as a
-// disagreement rather than resolved in either verifier's favor.
+// admit is the verifier gate every entry passes through, from a
+// translation, the disk tier, a peer or AdmitKeyed alike: sfi.Check
+// against the policy the program will run under.
 func (c *Cache) admit(sp *trace.Span, prog *target.Program, mach *target.Machine, si translate.SegInfo) error {
 	vsp := sp.Child("verify")
-	vsp.Set("mode", c.verify.String())
-	var err error
-	if c.verify == VerifyCheck || c.verify == VerifyBoth {
-		st, cerr := sfi.CheckStats(prog, mach, si)
-		vsp.Set("stores", st.Stores).Set("indirects", st.Indirects).Set("sandbox_ops", st.SandboxOps)
-		err = cerr
-	}
-	if c.verify == VerifyAbsint || c.verify == VerifyBoth {
-		st, aerr := absint.CheckStats(prog, mach, si)
-		vsp.Set("absint_stores", st.Stores).Set("absint_indirects", st.Indirects).Set("absint_blocks", st.Blocks)
-		if c.verify == VerifyBoth && (err == nil) != (aerr == nil) {
-			c.ctr.disagreements.Add(1)
-			vsp.Set("disagreement", true)
-			c.logf("mcache: verifier disagreement (sfi.Check: %v; absint: %v)", err, aerr)
-			err = fmt.Errorf("verifier disagreement: sfi.Check says %s, absint says %s (check: %v; absint: %v)",
-				verdict(err), verdict(aerr), err, aerr)
-		} else if aerr != nil {
-			err = aerr
-		}
-	}
+	st, err := sfi.CheckStats(prog, mach, si)
+	vsp.Set("stores", st.Stores).Set("indirects", st.Indirects).Set("sandbox_ops", st.SandboxOps)
 	vsp.End()
 	if err != nil {
 		c.ctr.rejected.Add(1)
 		return fmt.Errorf("mcache: admission rejected: %w", err)
 	}
 	return nil
-}
-
-func verdict(err error) string {
-	if err == nil {
-		return "accept"
-	}
-	return "reject"
 }
 
 // insertLocked adds an entry to sh (whose lock the caller holds) and
@@ -561,14 +501,11 @@ func (c *Cache) Stats() Stats {
 		Inserts:         c.ctr.inserts.Load(),
 		Evictions:       c.ctr.evictions.Load(),
 		Rejected:        c.ctr.rejected.Load(),
-		Disagreements:   c.ctr.disagreements.Load(),
 		DiskHits:        c.ctr.diskHits.Load(),
 		DiskWrites:      c.ctr.diskWrites.Load(),
 		DiskQuarantines: c.ctr.diskQuarantines.Load(),
 		PeerHits:        c.ctr.peerHits.Load(),
 		PeerQuarantines: c.ctr.peerQuarantines.Load(),
-		SpotChecks:      c.ctr.peerSpotChecks.Load(),
-		SpotCheckFails:  c.ctr.peerSpotCheckFails.Load(),
 		CodeBytes:       c.bytes.Load(),
 	}
 	for i := range c.shards {

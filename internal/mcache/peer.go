@@ -51,17 +51,15 @@ type PeerOrigin struct {
 // engine's transport-level verdicts, and the metrics exposition (which
 // pre-registers every reason so a zero series is visible, not absent).
 const (
-	QuarantineFrame          = "frame"            // peer frame failed to decode
-	QuarantineKeyMismatch    = "key-mismatch"     // frame bound to a different cache key
-	QuarantineHash           = "hash"             // module bytes hash to a different content address
-	QuarantineVerifier       = "verifier-refusal" // SFI admission gate refused the program
-	QuarantineCorrespondence = "correspondence"   // retranslation equality (spot check) failed
+	QuarantineFrame       = "frame"            // peer frame failed to decode
+	QuarantineKeyMismatch = "key-mismatch"     // frame bound to a different cache key
+	QuarantineHash        = "hash"             // module bytes hash to a different content address
+	QuarantineVerifier    = "verifier-refusal" // SFI admission gate refused the program
 )
 
 // QuarantineReasons lists every reason above, in exposition order.
 var QuarantineReasons = []string{
-	QuarantineFrame, QuarantineKeyMismatch, QuarantineHash,
-	QuarantineVerifier, QuarantineCorrespondence,
+	QuarantineFrame, QuarantineKeyMismatch, QuarantineHash, QuarantineVerifier,
 }
 
 // PeerSource is the cluster hook: on a memory+disk miss the cache asks
@@ -78,12 +76,11 @@ type PeerSource interface {
 }
 
 // loadFromPeer probes the peer source after a memory and disk miss.
-// Each copy the source offers must pass the admission gate (and, if
-// due, the integrity spot check); the first that does wins and the
-// probe stops there. Every refused copy is quarantined and counted —
-// the lookup degrades to a translation, never to serving unverified
-// code.
-func (c *Cache) loadFromPeer(sp *trace.Span, k string, retranslate retranslateFn, mach *target.Machine, si translate.SegInfo) (*target.Program, bool) {
+// Each copy the source offers must pass the admission gate; the first
+// that does wins and the probe stops there. Every refused copy is
+// quarantined and counted — the lookup degrades to a translation,
+// never to serving unverified code.
+func (c *Cache) loadFromPeer(sp *trace.Span, k string, mach *target.Machine, si translate.SegInfo) (*target.Program, bool) {
 	psp := sp.Child("peer_fetch")
 	defer psp.End()
 	org := PeerOrigin{TraceID: psp.TraceID(), RequestID: psp.RequestID()}
@@ -91,10 +88,6 @@ func (c *Cache) loadFromPeer(sp *trace.Span, k string, retranslate retranslateFn
 		if err := c.admit(psp, prog, mach, si); err != nil {
 			c.ctr.peerQuarantines.Add(1)
 			return QuarantineVerifier, err
-		}
-		if err := c.spotCheck(psp, prog, retranslate); err != nil {
-			c.ctr.peerQuarantines.Add(1)
-			return QuarantineCorrespondence, err
 		}
 		return "", nil
 	})
@@ -105,51 +98,6 @@ func (c *Cache) loadFromPeer(sp *trace.Span, k string, retranslate retranslateFn
 	psp.Set("peer", cand.Peer)
 	psp.AttachRemote(cand.Remote, cand.Peer)
 	return cand.Prog, true
-}
-
-// retranslateFn re-derives the translation locally for the integrity
-// spot check; nil disables the check for that lookup.
-type retranslateFn = func() (*target.Program, error)
-
-// spotCheck re-derives the translation locally every Nth peer
-// admission and demands instruction-for-instruction equality. The SFI
-// gate proves *containment* (the program cannot escape its sandbox);
-// the spot check samples *correspondence* (the program is the
-// translation of the module it claims to be) — cheap insurance the
-// deterministic translator makes possible. Disabled when
-// PeerSpotCheckEvery is 0.
-func (c *Cache) spotCheck(sp *trace.Span, got *target.Program, retranslate retranslateFn) error {
-	if c.spotEvery <= 0 || retranslate == nil {
-		return nil
-	}
-	if c.spotClock.Add(1)%uint64(c.spotEvery) != 0 {
-		return nil
-	}
-	ssp := sp.Child("spot_check")
-	defer ssp.End()
-	return c.correspond(ssp, got, retranslate)
-}
-
-// correspond is the correspondence check itself: retranslate locally
-// and demand instruction-for-instruction equality. Run by AdmitKeyed
-// whenever it is given a retranslate function, and on sampled peer
-// fills (spotCheck).
-func (c *Cache) correspond(sp *trace.Span, got *target.Program, retranslate retranslateFn) error {
-	c.ctr.peerSpotChecks.Add(1)
-	local, err := retranslate()
-	if err != nil {
-		// The local translator refusing the module while a peer serves
-		// a "translation" of it is itself a red flag.
-		c.ctr.peerSpotCheckFails.Add(1)
-		return fmt.Errorf("mcache: spot check: local translation failed: %w", err)
-	}
-	if !reflect.DeepEqual(local.Code, got.Code) {
-		c.ctr.peerSpotCheckFails.Add(1)
-		sp.Set("mismatch", true)
-		return fmt.Errorf("mcache: spot check: peer translation differs from local retranslation (%d vs %d insts)",
-			len(got.Code), len(local.Code))
-	}
-	return nil
 }
 
 // Peek returns the verified program stored under key, if any, checking
@@ -188,10 +136,10 @@ func (c *Cache) Peek(key string) (*target.Program, string, bool) {
 // rejected outright.
 //
 // Containment alone does not prove the program is the translation its
-// key names, so when retranslate is non-nil the correspondence check
-// runs on every call (not sampled like the peer-fill path) — a
-// sandboxed-but-semantically-wrong program is refused, counted, and
-// never installed.
+// key names, so when retranslate is non-nil the program must also equal
+// the local retranslation instruction for instruction — a
+// sandboxed-but-semantically-wrong program is refused and never
+// installed.
 //
 // The disk tier is written only when it has no entry for the key yet:
 // an admission must never replace a translation this node already
@@ -208,9 +156,13 @@ func (c *Cache) AdmitKeyed(k string, prog *target.Program, retranslate func() (*
 		return err
 	}
 	if retranslate != nil {
-		if err := c.correspond(nil, prog, retranslate); err != nil {
-			c.ctr.peerQuarantines.Add(1)
-			return err
+		local, err := retranslate()
+		if err != nil {
+			return fmt.Errorf("mcache: correspondence: local translation failed: %w", err)
+		}
+		if !reflect.DeepEqual(local.Code, prog.Code) {
+			return fmt.Errorf("mcache: correspondence: program differs from the local translation (%d vs %d insts)",
+				len(prog.Code), len(local.Code))
 		}
 	}
 	sh := c.shardFor(k)
@@ -224,17 +176,31 @@ func (c *Cache) AdmitKeyed(k string, prog *target.Program, retranslate func() (*
 	return nil
 }
 
+// splitKey splits a key of this format into its six fields.
+func splitKey(k string) ([]string, error) {
+	parts := strings.Split(k, "|")
+	if len(parts) != 6 || parts[0] != keyFormat {
+		return nil, fmt.Errorf("mcache: unparseable cache key %q", k)
+	}
+	return parts, nil
+}
+
 // ParseKey inverts the cache key format: it recovers the target
 // machine, segment shape, and translator options a key was minted
 // under. The module hash is returned via KeyModuleHash; admission only
-// needs the policy fields. Keys are versioned (the "k1|" prefix), so a
-// future format change is an explicit error here, not a misparse.
+// needs the policy fields. Keys are versioned (the keyFormat prefix),
+// so a format change is an explicit error here, not a misparse; and a
+// key minted by another translator version is refused, because this
+// binary cannot produce, serve or check the translation it names.
 func ParseKey(k string) (*target.Machine, translate.SegInfo, translate.Options, error) {
 	var si translate.SegInfo
 	var opt translate.Options
-	parts := strings.Split(k, "|")
-	if len(parts) != 5 || parts[0] != "k1" {
-		return nil, si, opt, fmt.Errorf("mcache: unparseable cache key %q", k)
+	parts, err := splitKey(k)
+	if err != nil {
+		return nil, si, opt, err
+	}
+	if want := fmt.Sprintf("tr=%d", translate.Version); parts[5] != want {
+		return nil, si, opt, fmt.Errorf("mcache: cache key names translator %q, this is %q", parts[5], want)
 	}
 	mach := target.ByName(parts[2])
 	if mach == nil {
@@ -252,9 +218,9 @@ func ParseKey(k string) (*target.Machine, translate.SegInfo, translate.Options, 
 
 // KeyModuleHash extracts the module content address from a cache key.
 func KeyModuleHash(k string) (string, error) {
-	parts := strings.Split(k, "|")
-	if len(parts) != 5 || parts[0] != "k1" {
-		return "", fmt.Errorf("mcache: unparseable cache key %q", k)
+	parts, err := splitKey(k)
+	if err != nil {
+		return "", err
 	}
 	return parts[1], nil
 }

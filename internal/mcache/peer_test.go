@@ -1,6 +1,7 @@
 package mcache_test
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -114,48 +115,45 @@ func TestPeerFill(t *testing.T) {
 }
 
 // TestPeerQuarantine drives the adversarial-peer contract at the cache
-// layer under both verify modes: a tampered candidate is quarantined
-// and counted, never served, and the lookup degrades to an honest
-// local translation. A later honest candidate from another peer is
-// still accepted.
+// layer: a tampered candidate is refused by the sfi.Check gate,
+// quarantined and counted, never served, and the lookup degrades to an
+// honest local translation.
 func TestPeerQuarantine(t *testing.T) {
-	for _, mode := range []mcache.VerifyMode{mcache.VerifyCheck, mcache.VerifyBoth} {
-		t.Run(mode.String(), func(t *testing.T) {
-			mod := buildMod(t, prog1)
-			m := target.MIPSMachine()
-			si := core.SegInfoFor(mod, core.RunConfig{})
-			opt := translate.Paper(true)
+	t.Run("check", func(t *testing.T) {
+		mod := buildMod(t, prog1)
+		m := target.MIPSMachine()
+		si := core.SegInfoFor(mod, core.RunConfig{})
+		opt := translate.Paper(true)
 
-			tampered, err := translate.Translate(mod, m, si, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stripSandboxMask(t, tampered, m)
-			k := mcache.Key(mod, m, si, opt)
-			peers := &fakePeers{cands: map[string][]mcache.PeerCandidate{
-				k: {{Prog: tampered, Peer: "evil"}},
-			}}
-			c := mcache.NewWith(mcache.Config{Peer: peers, Verify: mode})
+		tampered, err := translate.Translate(mod, m, si, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stripSandboxMask(t, tampered, m)
+		k := mcache.Key(mod, m, si, opt)
+		peers := &fakePeers{cands: map[string][]mcache.PeerCandidate{
+			k: {{Prog: tampered, Peer: "evil"}},
+		}}
+		c := mcache.NewWith(mcache.Config{Peer: peers})
 
-			prog, served, err := c.Translate(mod, m, si, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if served {
-				t.Error("tampered peer candidate served as warm")
-			}
-			if prog == tampered {
-				t.Fatal("tampered program escaped quarantine")
-			}
-			s := c.Stats()
-			if s.PeerQuarantines != 1 || s.PeerHits != 0 || s.Misses != 1 {
-				t.Errorf("stats %+v", s)
-			}
-			if len(peers.quarantined) != 1 || peers.quarantined[0] != k+"@evil/"+mcache.QuarantineVerifier {
-				t.Errorf("quarantine attribution %v", peers.quarantined)
-			}
-		})
-	}
+		prog, served, err := c.Translate(mod, m, si, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if served {
+			t.Error("tampered peer candidate served as warm")
+		}
+		if prog == tampered {
+			t.Fatal("tampered program escaped quarantine")
+		}
+		s := c.Stats()
+		if s.PeerQuarantines != 1 || s.PeerHits != 0 || s.Misses != 1 {
+			t.Errorf("stats %+v", s)
+		}
+		if len(peers.quarantined) != 1 || peers.quarantined[0] != k+"@evil/"+mcache.QuarantineVerifier {
+			t.Errorf("quarantine attribution %v", peers.quarantined)
+		}
+	})
 }
 
 // TestPeerSecondCandidateWins: the first (bad) candidate is
@@ -199,41 +197,17 @@ func TestPeerSecondCandidateWins(t *testing.T) {
 	}
 }
 
-// TestPeerSpotCheck: a candidate that *passes* the SFI gate but is not
-// the translation of the requested module (here: translated under
-// different options, so containment holds but the code differs) is
-// caught by the retranslation spot check.
-func TestPeerSpotCheck(t *testing.T) {
-	mod := buildMod(t, prog1)
-	m := target.MIPSMachine()
-	si := core.SegInfoFor(mod, core.RunConfig{})
-	opt := translate.Paper(true)
+// previousKey is k as a binary older than translate.Version filed it:
+// key format k1, which had no translator field.
+func previousKey(k string) string {
+	f := strings.Split(k, "|")
+	return "k1|" + strings.Join(f[1:5], "|")
+}
 
-	// Translated without scheduling: still contained (the SFI gate
-	// passes it), but not the code the requested identity names.
-	unsched := opt
-	unsched.Schedule = false
-	wrong, err := translate.Translate(mod, m, si, unsched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := mcache.Key(mod, m, si, opt) // the *scheduled* identity
-	peers := &fakePeers{cands: map[string][]mcache.PeerCandidate{
-		k: {{Prog: wrong, Peer: "confused"}},
-	}}
-	c := mcache.NewWith(mcache.Config{Peer: peers, PeerSpotCheckEvery: 1})
-
-	_, served, err := c.Translate(mod, m, si, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if served {
-		t.Error("wrong-translation candidate served as warm")
-	}
-	s := c.Stats()
-	if s.SpotChecks != 1 || s.SpotCheckFails != 1 || s.PeerQuarantines != 1 || s.PeerHits != 0 {
-		t.Errorf("stats %+v", s)
-	}
+// otherTranslatorKey is k as a translator one version older mints it.
+func otherTranslatorKey(k string) string {
+	cur := fmt.Sprintf("|tr=%d", translate.Version)
+	return strings.Replace(k, cur, fmt.Sprintf("|tr=%d", translate.Version-1), 1)
 }
 
 func TestParseKeyRoundTrip(t *testing.T) {
@@ -255,7 +229,9 @@ func TestParseKeyRoundTrip(t *testing.T) {
 	if err != nil || h != mcache.ModuleHash(mod) {
 		t.Errorf("KeyModuleHash = %q, %v", h, err)
 	}
-	for _, bad := range []string{"", "k1", "k2|a|mips|x|y", "k1|h|vax|00000000.00000000.00000000.00000000|sfi=true,sched=true,gp=true,peep=true,hoist=true,rsfi=true"} {
+	bad := []string{"", "k2", "k2|a|mips|x|y|z", previousKey(k), otherTranslatorKey(k),
+		strings.Replace(k, "|sparc|", "|vax|", 1)}
+	for _, bad := range bad {
 		if _, _, _, err := mcache.ParseKey(bad); err == nil {
 			t.Errorf("ParseKey(%q) accepted", bad)
 		}
@@ -266,7 +242,7 @@ func TestParseKeyRoundTrip(t *testing.T) {
 // write: Peek exposes what is stored without verifying or touching
 // recency; AdmitKeyed re-verifies a program made elsewhere against the
 // policy its key encodes and, when a retranslate function is supplied,
-// demands correspondence on every call.
+// demands that it equal the local translation.
 func TestPeekAndAdmitKeyed(t *testing.T) {
 	mod := buildMod(t, prog1)
 	m := target.MIPSMachine()
@@ -291,9 +267,6 @@ func TestPeekAndAdmitKeyed(t *testing.T) {
 	if got, tier, ok := c.Peek(k); !ok || got != prog || tier != "memory" {
 		t.Error("Peek does not see the admitted entry")
 	}
-	if s := c.Stats(); s.SpotChecks != 1 || s.SpotCheckFails != 0 {
-		t.Errorf("correspondence not checked: %+v", s)
-	}
 
 	tampered, err := translate.Translate(mod, m, si, opt)
 	if err != nil {
@@ -311,12 +284,14 @@ func TestPeekAndAdmitKeyed(t *testing.T) {
 	if err := c2.AdmitKeyed("not-a-key", prog, retranslate); err == nil {
 		t.Error("unparseable key accepted")
 	}
+	if err := c2.AdmitKeyed(otherTranslatorKey(k), prog, nil); err == nil {
+		t.Error("key minted by another translator version accepted")
+	}
 }
 
 // TestAdmitKeyedCorrespondence: a keyed program that PASSES the SFI
 // gate (it is contained) but is not the translation of the module its
-// key names must be refused by the correspondence check — this runs on
-// every AdmitKeyed call, not sampled like the fetch path.
+// key names must be refused by the correspondence check.
 func TestAdmitKeyedCorrespondence(t *testing.T) {
 	mod := buildMod(t, prog1)
 	m := target.MIPSMachine()
@@ -336,15 +311,11 @@ func TestAdmitKeyedCorrespondence(t *testing.T) {
 	err = c.AdmitKeyed(k, wrong, func() (*target.Program, error) {
 		return translate.Translate(mod, m, si, opt)
 	})
-	if err == nil || !strings.Contains(err.Error(), "spot check") {
+	if err == nil || !strings.Contains(err.Error(), "differs from the local translation") {
 		t.Fatalf("sandboxed-but-wrong program admitted: %v", err)
 	}
 	if _, _, ok := c.Peek(k); ok {
 		t.Error("wrong program visible via Peek")
-	}
-	s := c.Stats()
-	if s.SpotChecks != 1 || s.SpotCheckFails != 1 || s.PeerQuarantines != 1 {
-		t.Errorf("stats %+v", s)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -227,5 +228,64 @@ func TestTamperedDiskEntryQuarantined(t *testing.T) {
 	}
 	if !masked {
 		t.Fatal("served program lost its sandbox masks")
+	}
+}
+
+// A disk entry filed by another translator — under the previous key
+// format or another translate.Version — is not this binary's
+// translation, however well it verifies. The lookup must miss it and
+// translate locally; the entry is left alone (no quarantine: it is
+// some other binary's valid entry, not a bad one).
+func TestOtherTranslatorDiskEntryMisses(t *testing.T) {
+	mod := buildMod(t, prog1)
+	m := target.MIPSMachine()
+	si := core.SegInfoFor(mod, core.RunConfig{})
+	opt := translate.Paper(true)
+	want, err := translate.Translate(mod, m, si, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Contained, so it would pass the gate, but not what this
+	// translator emits for the key: a stand-in for an older
+	// translator's output.
+	unsched := opt
+	unsched.Schedule = false
+	stale, err := translate.Translate(mod, m, si, unsched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(stale.Code, want.Code) {
+		t.Fatal("stand-in program equals the current translation")
+	}
+	k := mcache.Key(mod, m, si, opt)
+	for name, old := range map[string]string{"format-k1": previousKey(k), "translator": otherTranslatorKey(k)} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := diskstore.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Put(old, stale); err != nil {
+				t.Fatal(err)
+			}
+			var logs []string
+			c := openCache(t, dir, &logs)
+			prog, served, err := c.Translate(mod, m, si, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if served {
+				t.Fatal("another translator's entry was served")
+			}
+			if !reflect.DeepEqual(prog.Code, want.Code) {
+				t.Fatal("served program is not this translator's output")
+			}
+			if s := c.Stats(); s.Misses != 1 || s.DiskHits != 0 || s.DiskQuarantines != 0 || s.DiskWrites != 1 {
+				t.Errorf("stats %+v", s)
+			}
+			if !store.Has(old) || !store.Has(k) {
+				t.Error("the old entry and the new write-through must sit side by side")
+			}
+		})
 	}
 }

@@ -230,12 +230,12 @@ func (c *Client) Trace(id string) (*trace.Trace, error) {
 
 // RecentTraces lists summaries of up to n recent finished jobs,
 // newest first.
-func (c *Client) RecentTraces(n int) ([]TraceSummary, error) {
+func (c *Client) RecentTraces(n int) ([]scope.Exemplar, error) {
 	path := "/v1/trace/recent"
 	if n > 0 {
 		path += "?n=" + strconv.Itoa(n)
 	}
-	out, err := get[[]TraceSummary](c, path)
+	out, err := get[[]scope.Exemplar](c, path)
 	if err != nil {
 		return nil, err
 	}

@@ -59,6 +59,7 @@ import (
 	"omniware/internal/core"
 	"omniware/internal/mcache"
 	"omniware/internal/ovm"
+	"omniware/internal/scope"
 	"omniware/internal/serve"
 	"omniware/internal/serve/metrics"
 	"omniware/internal/target"
@@ -624,29 +625,6 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
-// TraceSummary is one line of the recent-trace listing.
-type TraceSummary struct {
-	ID         string  `json:"id"`
-	Kind       string  `json:"kind"`
-	Target     string  `json:"target,omitempty"`
-	Status     string  `json:"status"`
-	DurUs      int64   `json:"durUs"`
-	Insts      uint64  `json:"insts"`
-	SandboxPct float64 `json:"sandboxPct"`
-}
-
-func summarize(tr *trace.Trace) TraceSummary {
-	return TraceSummary{
-		ID:         tr.ID,
-		Kind:       tr.Kind,
-		Target:     tr.Target,
-		Status:     tr.Status,
-		DurUs:      tr.Duration().Microseconds(),
-		Insts:      tr.Insts,
-		SandboxPct: tr.SandboxPct(),
-	}
-}
-
 func (h *Handler) handleTraceRecent(w http.ResponseWriter, r *http.Request) {
 	n := 32
 	if q := r.URL.Query().Get("n"); q != "" {
@@ -658,9 +636,9 @@ func (h *Handler) handleTraceRecent(w http.ResponseWriter, r *http.Request) {
 		n = v
 	}
 	recent := h.srv.Traces().Recent(n)
-	out := make([]TraceSummary, 0, len(recent))
+	out := make([]scope.Exemplar, 0, len(recent))
 	for _, tr := range recent {
-		out = append(out, summarize(tr))
+		out = append(out, exemplarOf(tr))
 	}
 	writeJSON(w, http.StatusOK, out)
 }

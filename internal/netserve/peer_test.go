@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -101,8 +102,18 @@ func TestPeerEndpoints(t *testing.T) {
 	if _, _, err := cl.PeerTranslation(up.Hash, "mips", "", "test", noOrg); err == nil {
 		t.Error("missing key accepted")
 	}
-	if _, _, err := cl.PeerTranslation(up.Hash, "mips", "k1|garbage", "test", noOrg); err == nil {
+	if _, _, err := cl.PeerTranslation(up.Hash, "mips", "k2|garbage", "test", noOrg); err == nil {
 		t.Error("malformed key accepted")
+	}
+	// A key minted by another translator version names code this node
+	// cannot produce: refused, not answered with this translator's
+	// output framed under a foreign identity.
+	other := strings.Replace(key, fmt.Sprintf("|tr=%d", translate.Version), fmt.Sprintf("|tr=%d", translate.Version+1), 1)
+	if other == key {
+		t.Fatalf("key %q carries no translator version", key)
+	}
+	if _, _, err := cl.PeerTranslation(up.Hash, "mips", other, "test", noOrg); err == nil {
+		t.Error("key from another translator version served")
 	}
 }
 

@@ -155,6 +155,22 @@ func TestTraceEndpoints(t *testing.T) {
 	if len(recent) != 1 || recent[0].ID != resp.ID || recent[0].SandboxPct <= 0 {
 		t.Fatalf("recent listing %+v", recent)
 	}
+	// The listing's wire layout: these keys in this order, and no node
+	// field on a node's own listing (the summary type is the fleet
+	// exemplar, whose Node is omitempty).
+	hr, err := http.Get(cl.Base + "/v1/trace/recent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw []json.RawMessage
+	err = json.NewDecoder(hr.Body).Decode(&raw)
+	hr.Body.Close()
+	if err != nil || len(raw) != 1 {
+		t.Fatalf("raw recent listing: %d entries, %v", len(raw), err)
+	}
+	if got, want := objectKeys(t, raw[0]), "id kind target status durUs insts sandboxPct"; got != want {
+		t.Errorf("recent listing keys %q, want %q", got, want)
+	}
 
 	// Unknown IDs 404 with a request ID on the error.
 	_, err = cl.Trace("no-such-job")
@@ -215,4 +231,26 @@ func TestErrorResponsesCarryRequestID(t *testing.T) {
 	if id1 == "" || id1 == id2 {
 		t.Fatalf("request IDs %q, %q not distinct", id1, id2)
 	}
+}
+
+// objectKeys lists a JSON object's keys in wire order, space-separated.
+func objectKeys(t *testing.T, obj json.RawMessage) string {
+	t.Helper()
+	dec := json.NewDecoder(strings.NewReader(string(obj)))
+	if _, err := dec.Token(); err != nil { // {
+		t.Fatal(err)
+	}
+	var keys []string
+	for dec.More() {
+		k, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, k.(string))
+		var skip json.RawMessage
+		if err := dec.Decode(&skip); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return strings.Join(keys, " ")
 }

@@ -114,9 +114,9 @@ func DecodeSpans(v string) (*trace.Span, error) {
 	return &sp, nil
 }
 
-// Exemplar is one slow-trace summary. The JSON field names match
-// netserve's TraceSummary so a node's /v1/trace/slow response decodes
-// straight into it; Node is added by the aggregator.
+// Exemplar is one finished trace in summary: a line of a node's
+// /v1/trace/recent and /v1/trace/slow listings. Node is added by the
+// fleet aggregator and is omitted from a node's own listings.
 type Exemplar struct {
 	Node       string  `json:"node,omitempty"`
 	ID         string  `json:"id"`

@@ -56,12 +56,9 @@ func fixtureSnapshot(n uint64) Snapshot {
 		CacheDiskHits:        9 + n,
 		CacheDiskWrites:      11 + n,
 		CacheDiskQuarantines: 12 + n,
-		CacheDisagreements:   14 + n,
 
 		CachePeerHits:        15 + n,
 		CachePeerQuarantines: 16 + n,
-		CacheSpotChecks:      18 + n,
-		CacheSpotCheckFails:  20 + n,
 
 		AuditPass:    25 + n,
 		AuditWarns:   map[string]uint64{"stack": 26 + n, "cost": 27 + n, "capability": 28 + n, "recursion": 29 + n},
@@ -104,7 +101,7 @@ func fixtureSnapshot(n uint64) Snapshot {
 			Peers: []PeerStats{
 				{
 					Peer: "http://10.0.0.2:8080", Hits: 15 + n, Quarantines: 5, Errors: 1,
-					QuarantinesByReason: map[string]uint64{"frame": 1, "key-mismatch": 0, "hash": 2 + n, "verifier-refusal": 1, "correspondence": 1},
+					QuarantinesByReason: map[string]uint64{"frame": 1, "key-mismatch": 0, "hash": 2 + n, "verifier-refusal": 1},
 					StalenessMs:         250 - int64(100*n),
 				},
 				{Peer: "http://10.0.0.3:8080", Errors: 2 + n, StalenessMs: -1},
@@ -162,7 +159,7 @@ func TestGoldenRenderings(t *testing.T) {
 	// A single-node snapshot: no cluster section, no peer-fill traffic.
 	solo := fixtureSnapshot(0)
 	solo.Cluster = nil
-	solo.CachePeerHits, solo.CachePeerQuarantines, solo.CacheSpotChecks, solo.CacheSpotCheckFails = 0, 0, 0, 0
+	solo.CachePeerHits, solo.CachePeerQuarantines = 0, 0
 	golden(t, "solo.json", snapshotJSON(t, solo))
 	golden(t, "solo.prom", []byte(solo.Prom()))
 	golden(t, "solo.txt", []byte(solo.Text()))

@@ -145,17 +145,10 @@ type Snapshot struct {
 	CacheDiskWrites      uint64 `json:"cache_disk_writes"`
 	CacheDiskQuarantines uint64 `json:"cache_disk_quarantines"`
 
-	// CacheDisagreements counts dual-gate admissions where the two SFI
-	// verifiers split the verdict (always also a rejection). Nonzero
-	// means a verifier bug; alert on any increase.
-	CacheDisagreements uint64 `json:"cache_disagreements"`
-
 	// Cluster peer-fill counters (zero outside cluster mode; the JSON
 	// fields are omitted so single-node snapshots are unchanged).
 	CachePeerHits        uint64 `json:"cache_peer_hits,omitempty"`
 	CachePeerQuarantines uint64 `json:"cache_peer_quarantines,omitempty"`
-	CacheSpotChecks      uint64 `json:"cache_spot_checks,omitempty"`
-	CacheSpotCheckFails  uint64 `json:"cache_spot_check_fails,omitempty"`
 
 	// Audit gate outcomes. The warn/reject maps carry every
 	// AuditReasons key, pre-registered at zero.
@@ -489,7 +482,7 @@ func (s Snapshot) Text() string {
 			w(fam.text+r, (*fam.field(&s))[r])
 		}
 	}
-	if s.Cluster != nil || s.CachePeerHits+s.CachePeerQuarantines+s.CacheSpotChecks > 0 {
+	if s.Cluster != nil || s.CachePeerHits+s.CachePeerQuarantines > 0 {
 		scalarLines(scalars[peerFillFrom:])
 	}
 	w("cache_hit_rate", fmt.Sprintf("%.2f", s.HitRate()))

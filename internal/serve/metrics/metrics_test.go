@@ -76,7 +76,6 @@ func TestTextFormat(t *testing.T) {
 		"cache_hits", "cache_coalesced", "cache_misses", "cache_evictions",
 		"cache_rejected", "cache_entries", "cache_bytes",
 		"cache_disk_hits", "cache_disk_writes", "cache_disk_quarantines",
-		"cache_disagreements",
 		"audit_pass",
 		"audit_warn_stack", "audit_warn_cost", "audit_warn_capability", "audit_warn_recursion",
 		"audit_reject_stack", "audit_reject_cost", "audit_reject_capability", "audit_reject_recursion",

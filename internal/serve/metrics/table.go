@@ -53,7 +53,6 @@ var (
 	_ = counter("cache_disk_hits", "Disk-tier hits (re-verified on read).", func(s *Snapshot) *uint64 { return &s.CacheDiskHits })
 	_ = counter("cache_disk_writes", "Disk-tier write-throughs.", func(s *Snapshot) *uint64 { return &s.CacheDiskWrites })
 	_ = counter("cache_disk_quarantines", "Disk entries quarantined after failing re-verification.", func(s *Snapshot) *uint64 { return &s.CacheDiskQuarantines })
-	_ = counter("cache_disagreements", "Dual-gate admissions where the two SFI verifiers split the verdict.", func(s *Snapshot) *uint64 { return &s.CacheDisagreements })
 
 	AuditPass = counter("audit_pass", "Uploads the audit gate admitted without violation.", func(s *Snapshot) *uint64 { return &s.AuditPass })
 
@@ -63,9 +62,7 @@ var (
 	peerFillFrom = len(scalars)
 
 	_ = counter("cache_peer_hits", "Translations admitted from cluster peers (re-verified on arrival).", func(s *Snapshot) *uint64 { return &s.CachePeerHits })
-	_ = counter("cache_peer_quarantines", "Peer candidates refused by the admission gate or spot check.", func(s *Snapshot) *uint64 { return &s.CachePeerQuarantines })
-	_ = counter("cache_spot_checks", "Peer admissions sampled for retranslation equality.", func(s *Snapshot) *uint64 { return &s.CacheSpotChecks })
-	_ = counter("cache_spot_check_fails", "Spot checks where the peer program was not the local translation.", func(s *Snapshot) *uint64 { return &s.CacheSpotCheckFails })
+	_ = counter("cache_peer_quarantines", "Peer candidates refused by the admission gate.", func(s *Snapshot) *uint64 { return &s.CachePeerQuarantines })
 )
 
 // Stage indexes the pipeline stages that have a latency histogram, in

@@ -301,7 +301,6 @@ func cacheSection(snap *metrics.Snapshot, cs mcache.Stats) {
 	snap.CacheMisses = cs.Misses
 	snap.CacheEvictions = cs.Evictions
 	snap.CacheRejected = cs.Rejected
-	snap.CacheDisagreements = cs.Disagreements
 	snap.CacheEntries = int64(cs.Entries)
 	snap.CacheBytes = cs.CodeBytes
 	snap.CacheDiskHits = cs.DiskHits
@@ -309,8 +308,6 @@ func cacheSection(snap *metrics.Snapshot, cs mcache.Stats) {
 	snap.CacheDiskQuarantines = cs.DiskQuarantines
 	snap.CachePeerHits = cs.PeerHits
 	snap.CachePeerQuarantines = cs.PeerQuarantines
-	snap.CacheSpotChecks = cs.SpotChecks
-	snap.CacheSpotCheckFails = cs.SpotCheckFails
 }
 
 // SetClusterSnapshot installs the provider for the cluster section of

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -75,7 +76,8 @@ func programDigest(p *target.Program) string {
 // example programs and the four SPEC-style workloads, on every target
 // under every option set in goldenOptions. Scheduling and delay-slot
 // filling are deterministic, so any change in what the translator
-// emits, or in what order, changes a digest and names the case.
+// emits, or in what order, changes a digest and names the case. The
+// file's first line is the translate.Version its digests belong to.
 func TestTranslationsGolden(t *testing.T) {
 	cases := coretest.ExampleCases()
 	bench, err := coretest.BenchCases(0)
@@ -101,28 +103,40 @@ func TestTranslationsGolden(t *testing.T) {
 			}
 		}
 	}
-	got := strings.Join(lines, "\n") + "\n"
+	header := fmt.Sprintf("translate.Version %d", translate.Version)
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil && !(*update && os.IsNotExist(err)) {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	wantHeader, want := want[0], want[1:]
 
 	if *update {
+		// A changed digest is a translator whose output changed, and a
+		// cache keyed on an unchanged translate.Version would go on
+		// serving the old output from disk and from peers as if it
+		// were this one's. Refuse to pin it until Version moves.
+		if raw != nil && wantHeader == header && !slices.Equal(want, lines) {
+			t.Fatalf("translator output changed under %s: bump translate.Version, then run -update", header)
+		}
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
+		got := header + "\n" + strings.Join(lines, "\n") + "\n"
 		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	raw, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("%v (run with -update to create it)", err)
+	if wantHeader != header {
+		t.Fatalf("%s pins %q, the translator is %q: run with -update", goldenPath, wantHeader, header)
 	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
 	if len(want) != len(lines) {
 		t.Fatalf("%s has %d cases, the test produces %d", goldenPath, len(want), len(lines))
 	}
 	for i := range lines {
 		if lines[i] != want[i] {
-			t.Errorf("translation changed:\n  got:  %s\n  want: %s", lines[i], want[i])
+			t.Errorf("translation changed (bump translate.Version and run -update if meant):\n  got:  %s\n  want: %s", lines[i], want[i])
 		}
 	}
 }

@@ -17,6 +17,16 @@ import (
 	"omniware/internal/target"
 )
 
+// Version names what this translator emits. Bump it in the same
+// change as anything that alters a translated instruction for some
+// module, machine, segment shape and options: the translation cache
+// keys on it, so a disk tier or a peer that holds a previous
+// translator's output misses instead of serving code, and cycle
+// counts, this translator would not produce. testdata/translations.golden
+// records it, and its -update refuses to rewrite a changed digest
+// under an unchanged Version.
+const Version = 1
+
 // Options selects translator behaviour. The zero value is the paper's
 // "no translator optimizations" configuration (Table 5) without SFI.
 type Options struct {
