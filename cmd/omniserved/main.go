@@ -77,7 +77,7 @@ func run(args []string, stderr *os.File) int {
 	fs := flag.NewFlagSet("omniserved", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (port 0 = kernel-assigned)")
-	workers := fs.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "jobs running at once (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 64, "admission queue capacity")
 	cacheMB := fs.Int("cache-mb", 64, "in-memory translation cache budget in MiB")
 	cacheDir := fs.String("cache-dir", "", "persistent translation cache directory (empty = memory only)")

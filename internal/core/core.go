@@ -104,6 +104,13 @@ type RunConfig struct {
 	// otherwise run until exit or budget exhaustion).
 	Interrupt *atomic.Bool
 
+	// Yield, when non-nil, is installed on the native simulator
+	// (target.Sim.Yield): it is called every few thousand executed
+	// instructions, at each poll but the first, with the run's state at
+	// rest. This is the serving layer's time-slicing hook. Interpreter
+	// runs ignore it.
+	Yield func()
+
 	// HostData, when non-nil, maps an additional "host" segment at
 	// HostBase that the module has no write permission for — used by
 	// the safety demos and fault-injection tests.
@@ -330,6 +337,7 @@ func (h *Host) RunProgram(mach *target.Machine, prog *target.Program) (target.Re
 	}
 	s.MaxInsts = h.cfg.maxSteps()
 	s.Interrupt = h.cfg.Interrupt
+	s.Yield = h.cfg.Yield
 	s.StoreTrace = h.cfg.StoreTrace
 	return s.Run()
 }

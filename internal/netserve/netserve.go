@@ -569,6 +569,12 @@ func (h *Handler) handleExec(w http.ResponseWriter, r *http.Request) {
 // A faulting reference matches a faulting run; exit codes and output
 // must agree otherwise.
 func (h *Handler) checkParity(mod *ovm.Module, req ExecRequest, res serve.Result) bool {
+	if res.Err != nil {
+		// Job-level errors (budget, deadline) have no parity claim, and
+		// the reference is not run for them: it would interpret on this
+		// handler, outside the pool and past the job's deadline.
+		return false
+	}
 	hst, err := core.NewHost(mod, core.RunConfig{
 		Heap: req.Heap, Stack: req.Stack, MaxSteps: req.MaxSteps,
 	})
@@ -576,8 +582,7 @@ func (h *Handler) checkParity(mod *ovm.Module, req ExecRequest, res serve.Result
 		return false
 	}
 	ref, err := hst.RunInterp()
-	if err != nil || res.Err != nil {
-		// Job-level errors (budget, deadline) have no parity claim.
+	if err != nil {
 		return false
 	}
 	if ref.Faulted || res.Faulted {

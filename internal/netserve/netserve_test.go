@@ -374,6 +374,29 @@ func TestDeadlineInterruptsRunaway(t *testing.T) {
 	}
 }
 
+// A checked exec that blows its deadline makes no parity claim, and
+// the interpreter reference is not run for it: the reply comes back
+// promptly instead of after the reference spins to its step budget.
+func TestCheckSkipsReferenceForFailedJob(t *testing.T) {
+	cl, _, _ := startServer(t, serve.Config{Workers: 1}, netserve.Config{})
+	spin := buildBlob(t, `int main(void){ for(;;); return 0; }`)
+	up, err := cl.Upload(spin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	res, err := cl.Exec(netserve.ExecRequest{Module: up.Hash, Target: "mips", DeadlineMs: 50, Check: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("checked runaway replied after %v", elapsed)
+	}
+	if res.Status != "error" || res.Parity == nil || *res.Parity {
+		t.Fatalf("checked runaway outcome: %+v", res)
+	}
+}
+
 // The module registry is bounded: uploading past MaxModules evicts
 // the oldest entry.
 func TestModuleRegistryBounded(t *testing.T) {

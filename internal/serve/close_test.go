@@ -100,10 +100,9 @@ func TestTrySubmitShedsWhenFull(t *testing.T) {
 	s := serve.New(serve.Config{Workers: 1, QueueCap: 1})
 	defer s.Close()
 
-	// One spinner occupies the worker, one fills the queue; both are
-	// deadline-bounded so Close can finish. The second spinner can only
-	// be accepted once the worker has dequeued the first — so when it
-	// is, the pool is exactly saturated: worker busy, queue full.
+	// One spinner occupies the run slot, one fills the queue; both are
+	// deadline-bounded so Close can finish. Once both are accepted the
+	// pool is exactly saturated: Workers+QueueCap jobs admitted.
 	spinJob := serve.Job{ID: "spin", Mod: spin, Machine: m, Opt: translate.Paper(true), Timeout: 2 * time.Second}
 	var chans []<-chan serve.Result
 	deadline := time.Now().Add(5 * time.Second)
@@ -114,6 +113,17 @@ func TestTrySubmitShedsWhenFull(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("spinners never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The spinners trade the run slot at every poll; a parked spinner
+	// still holds its admission. Probe only after they have run for
+	// 20 ms and one has been parked, so the probe sees the pool in
+	// steady state, not before the first poll.
+	time.Sleep(20 * time.Millisecond)
+	for s.Snapshot().JobsPreempted == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the spinners never traded the run slot")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -128,6 +128,7 @@ type Snapshot struct {
 	JobsFailed      uint64 `json:"jobs_failed"`
 	FaultsContained uint64 `json:"faults_contained"`
 	Timeouts        uint64 `json:"timeouts"`
+	JobsPreempted   uint64 `json:"jobs_preempted"`
 	Translations    uint64 `json:"translations"`
 	SimInsts        uint64 `json:"sim_insts"`
 	SimCycles       uint64 `json:"sim_cycles"`

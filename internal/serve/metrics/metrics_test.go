@@ -72,7 +72,7 @@ func TestTextFormat(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
 	wantOrder := []string{
 		"jobs_submitted", "jobs_run", "jobs_failed", "faults_contained",
-		"timeouts", "translations", "sim_insts", "sim_cycles", "queue_depth",
+		"timeouts", "jobs_preempted", "translations", "sim_insts", "sim_cycles", "queue_depth",
 		"cache_hits", "cache_coalesced", "cache_misses", "cache_evictions",
 		"cache_rejected", "cache_entries", "cache_bytes",
 		"cache_disk_hits", "cache_disk_writes", "cache_disk_quarantines",

@@ -38,6 +38,7 @@ var (
 	JobsFailed      = counter("jobs_failed", "Jobs that failed (fault, budget, timeout, bad input).", func(s *Snapshot) *uint64 { return &s.JobsFailed })
 	FaultsContained = counter("faults_contained", "Failed jobs whose fault the server absorbed.", func(s *Snapshot) *uint64 { return &s.FaultsContained })
 	Timeouts        = counter("timeouts", "Jobs killed by the per-job deadline.", func(s *Snapshot) *uint64 { return &s.Timeouts })
+	JobsPreempted   = counter("jobs_preempted", "Times a running job was parked so a queued job could run.", func(s *Snapshot) *uint64 { return &s.JobsPreempted })
 	Translations    = counter("translations", "Load-time translations performed for jobs.", func(s *Snapshot) *uint64 { return &s.Translations })
 	SimInsts        = counter("sim_insts", "Native instructions simulated across jobs.", func(s *Snapshot) *uint64 { return &s.SimInsts })
 	SimCycles       = counter("sim_cycles", "Simulated pipeline cycles across jobs.", func(s *Snapshot) *uint64 { return &s.SimCycles })

@@ -1,14 +1,15 @@
 // Package serve turns the one-shot Omniware host into a module-hosting
-// service: a worker pool executes (module, target, options) jobs, each
-// in a fresh sandboxed address space, against a shared verified
+// service: a pool of Workers run slots executes (module, target,
+// options) jobs, time-sliced at the simulator's poll, each in a fresh
+// sandboxed address space, against a shared verified
 // translation cache (internal/mcache) so translation cost is paid once
 // per distinct program rather than once per run — the serving-layer
 // consequence of the paper's load-time translation design.
 //
 // The fault-containment contract: anything a module does wrong — an
 // access violation, an exhausted instruction budget, a blown per-job
-// deadline — fails that job's Result and nothing else. Workers outlive
-// misbehaving jobs; jobs never share mutable state (each owns its
+// deadline — fails that job's Result and nothing else. The server
+// outlives misbehaving jobs; jobs never share mutable state (each owns its
 // seg.Memory and hostapi.Env; only the immutable Module and its cached
 // translations are shared).
 package serve
@@ -113,8 +114,8 @@ type Result struct {
 
 // Config sizes a Server. Zero values select defaults.
 type Config struct {
-	Workers  int           // worker goroutines (default GOMAXPROCS)
-	QueueCap int           // submit backlog before Submit blocks (default 256)
+	Workers  int           // jobs running at once (default GOMAXPROCS)
+	QueueCap int           // admitted jobs beyond Workers before Submit blocks (default 256)
 	Cache    *mcache.Cache // shared translation cache (default mcache.New(0))
 }
 
@@ -122,6 +123,50 @@ type task struct {
 	job Job
 	ch  chan Result
 	tr  *trace.Trace // created at admission; Begin marks submit time
+
+	// xsp is the execute span, which a park is recorded under.
+	xsp *trace.Span
+
+	// Run-queue state, guarded by runq.mu. parked marks a job that was
+	// preempted mid-run: it holds its host and waits on wake, and
+	// resumed is when the job that released a run token to it did so.
+	next    *task
+	parked  bool
+	wake    chan struct{}
+	resumed time.Time
+}
+
+// runq hands out Workers run tokens to admitted jobs in FIFO order.
+// A job holds a token while it runs; a running job gives its token up
+// at a simulator poll when another job is waiting (it parks at the
+// tail), and when it finishes. Fresh and parked jobs share the one
+// queue, so a parked job resumes before any job admitted after it
+// parked starts.
+type runq struct {
+	mu         sync.Mutex
+	idle       int   // tokens no job holds; nonzero only while the queue is empty
+	head, tail *task // jobs waiting for a token
+	parked     int   // waiting jobs that hold a host (parked), at most max
+	max        int   // Workers
+	procs      int   // GOMAXPROCS
+}
+
+func (q *runq) push(t *task) {
+	if q.tail == nil {
+		q.head = t
+	} else {
+		q.tail.next = t
+	}
+	q.tail = t
+}
+
+func (q *runq) pop() *task {
+	t := q.head
+	q.head, t.next = t.next, nil
+	if q.head == nil {
+		q.tail = nil
+	}
+	return t
 }
 
 // ErrClosed is the Result.Err of a job submitted after Close: the
@@ -139,29 +184,43 @@ const (
 	ExitInfra  = 2 // flag/build/network errors, or parity loss
 )
 
-// Server is a running worker pool. Create with New, feed with Submit
+// Server is a running job pool. Create with New, feed with Submit
 // or TrySubmit, stop with Close.
 type Server struct {
 	cache  *mcache.Cache
 	met    *metrics.Metrics
 	traces *trace.Recorder
 	slow   *trace.TopK
-	tasks  chan task
-	wg     sync.WaitGroup
+
+	// admit holds one slot per admitted, unfinished job — queued,
+	// running or parked — so admission is bounded by Workers+QueueCap.
+	admit chan struct{}
+	runq  runq
+	jobs  sync.WaitGroup // one per admitted, unfinished job
+
+	// Jobs run on reused goroutines, so a job starts on a stack an
+	// earlier job already grew. A goroutine with no job waits on ready;
+	// a fresh job goes to one of those, or to a new goroutine when none
+	// waits. So there are only as many as were once busy together:
+	// Workers running, Workers parked, a few delivering results. Close
+	// closes ready and waits for all of them on gs.
+	ready      chan *task
+	gs         sync.WaitGroup
+	closeReady sync.Once
 
 	// cluster, when set, supplies the cluster section of Snapshot
 	// (see SetClusterSnapshot).
 	cluster func() metrics.ClusterSnapshot
 
-	// closeMu serializes Submit sends against Close's channel close:
-	// Submit holds it shared around the send, Close holds it exclusive
-	// while flipping closed — so no send can race the close, and
-	// Submit after Close fails softly instead of panicking.
+	// closeMu serializes admission against Close: Submit holds it
+	// shared from the closed check to the job's jobs.Add, Close holds it
+	// exclusive while flipping closed — so Close's wait sees every
+	// admitted job, and Submit after Close fails softly.
 	closeMu sync.RWMutex
 	closed  bool
 }
 
-// New starts a server with cfg's workers.
+// New starts a server with cfg's run slots.
 func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -177,33 +236,125 @@ func New(cfg Config) *Server {
 		met:    &metrics.Metrics{},
 		traces: trace.NewRecorder(trace.DefaultRecorderCap),
 		slow:   trace.NewTopK(trace.DefaultTopKCap),
-		tasks:  make(chan task, cfg.QueueCap),
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
+		admit:  make(chan struct{}, cfg.Workers+cfg.QueueCap),
+		runq:   runq{idle: cfg.Workers, max: cfg.Workers, procs: runtime.GOMAXPROCS(0)},
+		ready:  make(chan *task),
 	}
 	return s
 }
 
 // Submit enqueues a job and returns the channel its Result will be
-// delivered on (buffered; the worker never blocks on it). Submit
-// blocks while the queue is full. Submitting to a closed server (or
-// one that closes while the job waits for a queue slot) is safe: the
-// job is refused with a Result whose Err is ErrClosed.
+// delivered on (buffered; the server never blocks on it). Submit
+// blocks while Workers+QueueCap jobs are admitted and unfinished.
+// Submitting to a closed server is safe: the job is refused with a
+// Result whose Err is ErrClosed.
 func (s *Server) Submit(j Job) <-chan Result {
 	ch := make(chan Result, 1)
 	s.closeMu.RLock()
+	defer s.closeMu.RUnlock()
 	if s.closed {
-		s.closeMu.RUnlock()
 		ch <- Result{ID: j.ID, Err: ErrClosed}
 		return ch
 	}
+	s.admit <- struct{}{}
+	s.enqueue(&task{job: j, ch: ch, tr: s.newTrace(j)})
+	return ch
+}
+
+// enqueue admits t, which holds an admission slot: it starts now if a
+// run token is idle and waits at the tail of the run queue otherwise.
+func (s *Server) enqueue(t *task) {
 	s.met.Add(metrics.JobsSubmitted, 1)
 	s.met.Add(metrics.QueueDepth, 1)
-	s.tasks <- task{job: j, ch: ch, tr: s.newTrace(j)}
-	s.closeMu.RUnlock()
-	return ch
+	s.jobs.Add(1)
+	q := &s.runq
+	q.mu.Lock()
+	if q.idle > 0 {
+		q.idle--
+		s.start(t)
+	} else {
+		q.push(t)
+	}
+	q.mu.Unlock()
+}
+
+// start runs the fresh job t, which holds a run token, on a waiting
+// goroutine or a new one.
+func (s *Server) start(t *task) {
+	select {
+	case s.ready <- t:
+	default:
+		s.gs.Add(1)
+		go s.loop(t)
+	}
+}
+
+// loop runs t, then every fresh job its token passes to, then waits
+// for another.
+func (s *Server) loop(t *task) {
+	defer s.gs.Done()
+	for ok := true; ok; t, ok = <-s.ready {
+		for t != nil {
+			t = s.run(t)
+		}
+	}
+}
+
+// handOff gives the run token its caller holds to the job at the head
+// of the run queue, or makes it idle when no job waits. A parked head
+// is woken; a fresh head is returned, for the caller to run or start.
+// It is called with q.mu held; now is when the hand-off happens.
+func (s *Server) handOff(now time.Time) *task {
+	q := &s.runq
+	if q.head == nil {
+		q.idle++
+		return nil
+	}
+	t := q.pop()
+	if !t.parked {
+		return t
+	}
+	t.parked = false
+	q.parked--
+	t.resumed = now
+	t.wake <- struct{}{} // buffered: t parked, so nothing else is in it
+	return nil
+}
+
+// yield is the simulator's time slice ending for the job t. When
+// another job waits for a run token, t parks at the tail of the run
+// queue and hands its token to the head — unless that would make more
+// than Workers jobs parked (the head is a fresh job and Workers are
+// parked already). Otherwise t goes on; first, when there are as many
+// running jobs as Ps, so that every P may be inside a simulator loop,
+// it lets the Go scheduler run whatever else is runnable (the network
+// poller's readied handlers, the timers). With a P to spare those run
+// there, and a Gosched would only move t to another core.
+func (s *Server) yield(t *task) {
+	q := &s.runq
+	q.mu.Lock()
+	if q.head == nil || (q.parked == q.max && !q.head.parked) {
+		crowded := q.max-q.idle >= q.procs
+		q.mu.Unlock()
+		if crowded {
+			runtime.Gosched()
+		}
+		return
+	}
+	now := time.Now()
+	if t.wake == nil {
+		t.wake = make(chan struct{}, 1)
+	}
+	t.parked = true
+	q.parked++
+	q.push(t)
+	if next := s.handOff(now); next != nil {
+		s.start(next)
+	}
+	q.mu.Unlock()
+	s.met.Add(metrics.JobsPreempted, 1)
+	<-t.wake
+	t.xsp.ChildSpan("parked", now.Sub(t.tr.Begin), t.resumed.Sub(now))
 }
 
 // newTrace opens the job's trace at admission time, so the root span
@@ -243,9 +394,8 @@ func (s *Server) TrySubmit(j Job) (<-chan Result, bool) {
 		return nil, false
 	}
 	select {
-	case s.tasks <- task{job: j, ch: ch, tr: s.newTrace(j)}:
-		s.met.Add(metrics.JobsSubmitted, 1)
-		s.met.Add(metrics.QueueDepth, 1)
+	case s.admit <- struct{}{}:
+		s.enqueue(&task{job: j, ch: ch, tr: s.newTrace(j)})
 		return ch, true
 	default:
 		return nil, false
@@ -259,12 +409,11 @@ func (s *Server) TrySubmit(j Job) (<-chan Result, bool) {
 // panicked on, and every Close call waits for the drain to complete.
 func (s *Server) Close() {
 	s.closeMu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.tasks)
-	}
+	s.closed = true
 	s.closeMu.Unlock()
-	s.wg.Wait()
+	s.jobs.Wait()
+	s.closeReady.Do(func() { close(s.ready) })
+	s.gs.Wait()
 }
 
 // Cache returns the shared translation cache.
@@ -316,45 +465,51 @@ func cacheSection(snap *metrics.Snapshot, cs mcache.Stats) {
 // importing it.
 func (s *Server) SetClusterSnapshot(fn func() metrics.ClusterSnapshot) { s.cluster = fn }
 
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for t := range s.tasks {
-		// Queue wait: trace begin (admission) to now (dequeue). The
-		// backdated child keeps the span tree consistent even though the
-		// wait happened on no goroutine at all.
-		qd := time.Since(t.tr.Begin)
-		t.tr.Root.ChildSpan("queue_wait", 0, qd)
-		s.met.Observe(metrics.StageQueueWait, qd)
+// run executes t on the run token it was handed, then passes the
+// token on and delivers the Result. It returns the fresh job the token
+// passed to, if any, for this goroutine to run next.
+func (s *Server) run(t *task) *task {
+	defer s.jobs.Done()
+	// Queue wait: trace begin (admission) to now (first token). The
+	// backdated child keeps the span tree consistent even though the
+	// wait happened on no goroutine at all.
+	qd := time.Since(t.tr.Begin)
+	t.tr.Root.ChildSpan("queue_wait", 0, qd)
+	s.met.Observe(metrics.StageQueueWait, qd)
 
-		runStart := time.Now()
-		r := s.execute(t.job, t.tr)
-		rd := time.Since(runStart)
-		s.met.Observe(metrics.StageRun, rd)
-		r.QueueWait, r.Run = qd, rd
+	runStart := time.Now()
+	r := s.execute(t)
+	rd := time.Since(runStart)
+	s.runq.mu.Lock()
+	next := s.handOff(time.Now())
+	s.runq.mu.Unlock()
+	s.met.Observe(metrics.StageRun, rd)
+	r.QueueWait, r.Run = qd, rd
 
-		status := "ok"
-		switch {
-		case r.Err != nil:
-			status = "error"
-		case r.Faulted:
-			status = "faulted"
-		}
-		if r.Err != nil || r.Faulted {
-			s.met.Add(metrics.JobsFailed, 1)
-		} else {
-			s.met.Add(metrics.JobsRun, 1)
-		}
-		t.tr.Finish(status)
-		s.traces.Add(t.tr)
-		s.slow.Add(t.tr)
-		r.Trace = t.tr
-		s.met.Add(metrics.QueueDepth, -1)
-		t.ch <- r
+	status := "ok"
+	switch {
+	case r.Err != nil:
+		status = "error"
+	case r.Faulted:
+		status = "faulted"
 	}
+	if r.Err != nil || r.Faulted {
+		s.met.Add(metrics.JobsFailed, 1)
+	} else {
+		s.met.Add(metrics.JobsRun, 1)
+	}
+	t.tr.Finish(status)
+	s.traces.Add(t.tr)
+	s.slow.Add(t.tr)
+	r.Trace = t.tr
+	s.met.Add(metrics.QueueDepth, -1)
+	<-s.admit
+	t.ch <- r
+	return next
 }
 
-// errJobPanic marks the error execute synthesizes when a job panics a
-// worker; the panic was absorbed, so it classifies as contained.
+// errJobPanic marks the error execute synthesizes when a job panics;
+// the panic was absorbed, so it classifies as contained.
 var errJobPanic = errors.New("job panicked")
 
 // contained reports whether a job error is a fault the sandbox
@@ -369,9 +524,10 @@ func contained(err error) bool {
 
 // execute runs one job start to finish, hanging stage spans off the
 // trace root as it goes. Panics anywhere in the job path are converted
-// into a failed Result — a wild job must never take a worker (or the
-// server) down with it.
-func (s *Server) execute(j Job, tr *trace.Trace) (r Result) {
+// into a failed Result — a wild job must never take its run slot (or
+// the server) down with it.
+func (s *Server) execute(t *task) (r Result) {
+	j, tr := t.job, t.tr
 	r.ID = j.ID
 	root := tr.Root
 	defer func() {
@@ -398,6 +554,7 @@ func (s *Server) execute(j Job, tr *trace.Trace) (r Result) {
 		Stack:     j.Stack,
 		MaxSteps:  j.MaxSteps,
 		Interrupt: &stop,
+		Yield:     func() { s.yield(t) },
 	})
 	lsp.End()
 	if err != nil {
@@ -448,6 +605,7 @@ func (s *Server) execute(j Job, tr *trace.Trace) (r Result) {
 		defer timer.Stop()
 	}
 	xsp := root.Child("execute")
+	t.xsp = xsp
 	res, err := h.RunProgram(j.Machine, prog)
 	execDur := xsp.End()
 	if err != nil {

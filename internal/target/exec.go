@@ -71,6 +71,14 @@ type Sim struct {
 	// watchdog sets it from another goroutine.
 	Interrupt *atomic.Bool
 
+	// Yield, when non-nil, is called at every poll after the first, so
+	// never before the first instruction and never in a run shorter than
+	// one poll interval. The run's whole state is synced into the Sim
+	// when it is called, and nothing in the Sim changes until it
+	// returns: the serving layer time-slices jobs here, parking the
+	// calling goroutine while queued jobs run.
+	Yield func()
+
 	// StoreTrace, when non-nil, observes every store the program
 	// itself issues (plain stores and x86 read-modify-write MemDst
 	// forms; runtime writes such as syscall results and exception
@@ -92,7 +100,7 @@ type Sim struct {
 
 	pc       int32
 	insts    uint64
-	nextPoll uint64 // insts threshold for the next Interrupt check
+	nextPoll uint64 // insts threshold for the next Interrupt and Yield poll
 	counts   [8]uint64
 	// Pipeline state: the clock, issue slots used in the current
 	// cycle, and the scoreboard.
@@ -131,7 +139,7 @@ func (s *Sim) Reset(m *Machine, prog *Program, mem *seg.Memory, env *hostapi.Env
 // pins none of them, and keeps the lowering storage for the next
 // Reset.
 func (s *Sim) Detach() {
-	s.M, s.Prog, s.Mem, s.Env, s.Interrupt, s.StoreTrace = nil, nil, nil, nil, nil, nil
+	s.M, s.Prog, s.Mem, s.Env, s.Interrupt, s.Yield, s.StoreTrace = nil, nil, nil, nil, nil, nil, nil
 }
 
 // regSaveAddr is the memory slot of OmniVM integer register i.
@@ -216,13 +224,13 @@ func (s *Sim) sync(pc int, insts, clock, slot uint64) {
 }
 
 // limit is the instruction count at which Run must next stop and look:
-// the budget or the next Interrupt poll, whichever comes first.
+// the budget or the next poll, whichever comes first.
 func (s *Sim) limit() uint64 {
 	l := uint64(math.MaxUint64)
 	if s.MaxInsts > 0 {
 		l = s.MaxInsts
 	}
-	if s.Interrupt != nil {
+	if s.Interrupt != nil || s.Yield != nil {
 		l = min(l, s.nextPoll)
 	}
 	return l
@@ -236,10 +244,13 @@ func (s *Sim) poll() error {
 	// A threshold (not insts&mask == 0) because delay-slot machines
 	// account two instructions per branch iteration: an exact-match
 	// poll can step over every multiple of the mask and never fire.
-	if s.Interrupt != nil && s.insts >= s.nextPoll {
+	if (s.Interrupt != nil || s.Yield != nil) && s.insts >= s.nextPoll {
 		s.nextPoll = s.insts + 0x1000
-		if s.Interrupt.Load() {
+		if s.Interrupt != nil && s.Interrupt.Load() {
 			return fmt.Errorf("target/%s: %w at pc=%d after %d instructions", s.M.Name, hostapi.ErrInterrupted, s.pc, s.insts)
+		}
+		if s.Yield != nil && s.insts > 0 {
+			s.Yield()
 		}
 	}
 	return nil
@@ -250,10 +261,10 @@ func (s *Sim) poll() error {
 //
 // The loop keeps pc, the instruction count and the pipeline clock in
 // locals and writes them back (sync) before anything that can observe
-// them: a syscall, an exception, a limit check, a return. The budget
-// and Interrupt checks are one compare against limit, made where the
-// Inst-at-a-time loop made them: before each instruction, except that
-// a delay slot runs together with its branch.
+// them: a syscall, an exception, a limit check, a return. The budget,
+// Interrupt and Yield checks are one compare against limit, made where
+// the Inst-at-a-time loop made them: before each instruction, except
+// that a delay slot runs together with its branch.
 func (s *Sim) Run() (Result, error) {
 	code := s.code
 	r, f, av := &s.r, &s.f, &s.avail
