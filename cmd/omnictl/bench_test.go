@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"omniware/internal/serve/metrics"
@@ -36,16 +37,23 @@ func TestBenchSubcommand(t *testing.T) {
 	}
 
 	// ...then run two jobs inside a bench window driven concurrently.
+	// They start when bench reports it is observing, which it does
+	// right after its opening snapshot, so they cannot race it.
+	benchErr := &signalWriter{substr: "observing", seen: make(chan struct{})}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		<-benchErr.seen
 		runCtl(t, "exec", "-addr", addr, "-module", up.Hash, "-target", "mips")
 		runCtl(t, "exec", "-addr", addr, "-module", up.Hash, "-target", "x86")
 	}()
-	code, stdout, stderr = runCtl(t, "bench", "-addr", addr, "-duration", "3s")
+	var benchOut strings.Builder
+	code = run([]string{"bench", "-addr", addr, "-duration", "3s"}, &benchOut, benchErr)
+	benchErr.signal() // release the execs if bench failed before observing
 	<-done
+	stdout = benchOut.String()
 	if code != 0 {
-		t.Fatalf("bench exit %d: %s", code, stderr)
+		t.Fatalf("bench exit %d: %s", code, benchErr.String())
 	}
 	for _, want := range []string{"window 3s", "cache_hit_rate", "stage_run"} {
 		if !strings.Contains(stdout, want) {
@@ -71,3 +79,21 @@ func TestBenchSubcommand(t *testing.T) {
 		t.Fatalf("empty window counted %d jobs, %d runs", iv.JobsRun, iv.Stages["run"].Count)
 	}
 }
+
+// signalWriter collects what is written to it and closes seen the first
+// time a write contains substr.
+type signalWriter struct {
+	strings.Builder
+	substr string
+	seen   chan struct{}
+	once   sync.Once
+}
+
+func (w *signalWriter) Write(p []byte) (int, error) {
+	if strings.Contains(string(p), w.substr) {
+		w.signal()
+	}
+	return w.Builder.Write(p)
+}
+
+func (w *signalWriter) signal() { w.once.Do(func() { close(w.seen) }) }

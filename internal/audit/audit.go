@@ -41,7 +41,6 @@ import (
 	"omniware/internal/core"
 	"omniware/internal/hostapi"
 	"omniware/internal/ovm"
-	"omniware/internal/sfi/absint"
 	"omniware/internal/target"
 	"omniware/internal/translate"
 	"omniware/internal/wire"
@@ -86,7 +85,7 @@ type Report struct {
 	Capabilities []string `json:"capabilities"`
 
 	// Targets records per-machine translation shape (native
-	// instruction and basic-block counts, from the shared absint CFG).
+	// instruction and basic-block counts, from target.BuildCFG).
 	Targets map[string]TargetInfo `json:"targets"`
 }
 
@@ -318,7 +317,7 @@ func AnalyzeTargets(mod *ovm.Module, machines []*target.Machine) (*Report, error
 		costs = append(costs, tc)
 		rep.Targets[m.Name] = TargetInfo{
 			Insts:  len(prog.Code),
-			Blocks: absint.BuildCFG(prog, m).Blocks(),
+			Blocks: target.BuildCFG(prog, m).Blocks(),
 		}
 	}
 

@@ -250,7 +250,7 @@ func (c *compiler) run() (*Result, error) {
 		// Relocate unit-relative targets and record call fixups.
 		for i := range e.code {
 			in := e.code[i]
-			if in.Op.IsBranch() || in.Op == target.J || in.Op == target.Jal {
+			if in.Op.HasTarget() {
 				if in.Sym != "" && in.Sym != fpPoolSym {
 					fixes = append(fixes, callFix{idx: len(code), name: in.Sym})
 					in.Sym = ""

@@ -71,8 +71,7 @@ type reader struct {
 func (s *Scheduler) Block(insts []target.Inst, m *target.Machine) {
 	k := len(insts)
 	for i := range insts {
-		op := insts[i].Op
-		if op.IsBranch() || op.IsJump() || op == target.Syscall || op == target.Halt || op == target.Break {
+		if insts[i].Op.EndsRun() {
 			k = i
 			break
 		}
@@ -134,7 +133,7 @@ func (s *Scheduler) depEdges() {
 		// memory operation since the last store; loads against that
 		// store.
 		switch {
-		case in.Op.IsStore() || in.MemDst:
+		case in.WritesMem():
 			for _, mi := range s.mems {
 				edge(mi)
 			}
@@ -249,7 +248,7 @@ func FillDelaySlot(insts []target.Inst, m *target.Machine, tryFill bool) []targe
 		return insts
 	}
 	isCtl := func(op target.Op) bool {
-		return op.IsBranch() || op == target.J || op == target.Jal || op == target.Jr || op == target.Jalr
+		return op.IsBranch() || op.IsJump()
 	}
 	nopFor := func(src int32) target.Inst {
 		return target.Inst{Op: target.Nop, Rd: target.NoReg, Rs1: target.NoReg, Rs2: target.NoReg, Cat: target.CatBnop, Src: src}
@@ -329,10 +328,10 @@ func canDelay(between []target.Inst, c *target.Inst) bool {
 		}
 		// Memory ordering: don't move a memory op past another store.
 		cMem := c.Op.IsLoad() || c.Op.IsStore() || c.MemSrc || c.MemDst
-		if cMem && (b.Op.IsStore() || b.MemDst) {
+		if cMem && b.WritesMem() {
 			return false
 		}
-		if (c.Op.IsStore() || c.MemDst) && (b.Op.IsLoad() || b.MemSrc || b.MemDst) {
+		if c.WritesMem() && (b.Op.IsLoad() || b.MemSrc || b.MemDst) {
 			return false
 		}
 	}

@@ -65,7 +65,7 @@ func legalityErr(before, after []target.Inst) error {
 func dependence(a, b *target.Inst) string {
 	wa, wb := regWritten(a), regWritten(b)
 	switch {
-	case isControl(a) || isControl(b):
+	case a.Op.EndsRun() || b.Op.EndsRun():
 		return "control"
 	case wa != target.NoReg && regRead(b, wa):
 		return "RAW"
@@ -73,17 +73,12 @@ func dependence(a, b *target.Inst) string {
 		return "WAR"
 	case wa != target.NoReg && wa == wb:
 		return "WAW"
-	case touchesMem(a) && touchesMem(b) && (writesMem(a) || writesMem(b)):
+	case touchesMem(a) && touchesMem(b) && (a.WritesMem() || b.WritesMem()):
 		return "memory"
 	case setsFlags(a) && (setsFlags(b) || readsFlags(b)), readsFlags(a) && setsFlags(b):
 		return "flag"
 	}
 	return ""
-}
-
-func isControl(in *target.Inst) bool {
-	op := in.Op
-	return op.IsBranch() || op.IsJump() || op == target.Syscall || op == target.Halt || op == target.Break
 }
 
 // regWritten is the register in writes: Rd, except for stores, whose
@@ -102,8 +97,6 @@ func regRead(in *target.Inst, r target.Reg) bool {
 func touchesMem(in *target.Inst) bool {
 	return in.Op.IsLoad() || in.Op.IsStore() || in.MemSrc || in.MemDst
 }
-
-func writesMem(in *target.Inst) bool { return in.Op.IsStore() || in.MemDst }
 
 func readsFlags(in *target.Inst) bool { return in.Op == target.Bcc || in.Op == target.FBcc }
 

@@ -9,14 +9,17 @@
 // runs to a fixpoint. Every store and indirect branch must then be
 // discharged from the facts holding on ALL paths reaching it.
 //
-// The two verifiers share only the policy (sfi.Policy) and the
-// violation report type; the analysis machinery is deliberately
-// disjoint so a blind spot in one implementation is unlikely to be
-// mirrored in the other. The differential fuzzer and the exhaustive
-// small-model enumerator in this package race them against each other
-// and against the executor's write-trace oracle.
+// The two verifiers share the policy (sfi.Policy, with its pinned
+// dedicated-register values), the violation report type, and the facts
+// that are functions of the code alone: the block structure
+// (target.BuildCFG), the obligation predicates and the guard zone
+// (translate.GuardZone). The proof rules and the fact domains are
+// deliberately disjoint so a blind spot in one implementation is
+// unlikely to be mirrored in the other. The differential fuzzer and
+// the exhaustive small-model enumerator in this package race them
+// against each other and against the executor's write-trace oracle.
 //
-// Shared assumptions (documented in DESIGN.md §9): the stack pointer
+// Shared assumptions (documented in DESIGN.md §10): the stack pointer
 // is runtime-maintained and stays inside the segment, so a store
 // through it with a guard-zone displacement is safe by name; and the
 // omni-to-native map bounds every indirect transfer, so any target
@@ -74,9 +77,6 @@ func Verify(prog *target.Program, p sfi.Policy) []sfi.Violation {
 
 // VerifyStats is Verify with an optional stats sink.
 func VerifyStats(prog *target.Program, p sfi.Policy, st *Stats) []sfi.Violation {
-	if p.GuardZone == 0 {
-		p.GuardZone = 4096
-	}
 	v := &verifier{prog: prog, p: p, m: p.Machine, st: st}
 	return v.run()
 }
@@ -192,9 +192,7 @@ type verifier struct {
 	estab    map[target.Reg]bool   // provably loaded by the entry stub
 	stubEnd  int
 
-	cfg     *CFG
-	leaders []bool // any non-fall-through entry point
-	o2nDest []bool // entered via the omni-to-native map (pinned state)
+	cfg *target.CFG
 }
 
 func (v *verifier) run() []sfi.Violation {
@@ -205,24 +203,8 @@ func (v *verifier) run() []sfi.Violation {
 	}
 	v.sp = m.OmniInt[14]
 
-	v.expected = map[target.Reg]uint32{}
-	pin := func(r target.Reg, val uint32) {
-		if r != target.NoReg {
-			v.expected[r] = val
-		}
-	}
-	pin(m.SFIMask, v.p.DataMask)
-	pin(m.SFIBase, v.p.DataBase)
-	if len(prog.OmniToNative) > 0 {
-		pin(m.CodeMask, uint32(len(prog.OmniToNative)-1))
-	} else {
-		pin(m.CodeMask, 0)
-	}
-	pin(m.GP, v.p.GPValue)
-
-	v.cfg = BuildCFG(prog, m)
-	v.leaders = v.cfg.Leaders
-	v.o2nDest = v.cfg.O2NDest
+	v.expected = v.p.Pinned(prog)
+	v.cfg = target.BuildCFG(prog, m)
 	v.scanStub()
 
 	// Fixpoint over per-instruction entry states.
@@ -249,7 +231,7 @@ func (v *verifier) run() []sfi.Violation {
 	seed(0, entrySt)
 	seed(prog.Entry, entrySt)
 	for i := range prog.Code {
-		if v.o2nDest[i] {
+		if v.cfg.O2NDest[i] {
 			seed(int32(i), stubSt)
 		}
 	}
@@ -263,10 +245,7 @@ func (v *verifier) run() []sfi.Violation {
 		iters++
 		out := v.transfer(in[i], &prog.Code[i], int(i))
 		for _, s := range v.cfg.Succs(int(i), sbuf[:0]) {
-			if s < 0 || int(s) >= n {
-				continue
-			}
-			if v.o2nDest[s] {
+			if v.cfg.O2NDest[s] {
 				continue // pinned to the stub state
 			}
 			if !have[s] {
@@ -277,7 +256,7 @@ func (v *verifier) run() []sfi.Violation {
 			}
 			changed := false
 			for r := range in[s] {
-				j := join(in[s][r], out[r], v.leaders[s] && in[s][r].k == ival)
+				j := join(in[s][r], out[r], v.cfg.Leaders[s] && in[s][r].k == ival)
 				if j != in[s][r] {
 					in[s][r] = j
 					changed = true
@@ -295,15 +274,11 @@ func (v *verifier) run() []sfi.Violation {
 	bad := func(i int, k sfi.Kind, why string) {
 		out = append(out, sfi.Violation{Index: i, Inst: prog.Code[i], Kind: k, Why: why})
 	}
-	blocks := 0
 	for i := range prog.Code {
-		if v.leaders[i] {
-			blocks++
-		}
 		st := &in[i]
 		code := &prog.Code[i]
 		v.checkReservedWrite(st, code, i, bad)
-		if code.Op.IsStore() || code.MemDst {
+		if code.WritesMem() {
 			if v.storeOK(st, code) {
 				if v.st != nil {
 					v.st.Stores++
@@ -312,7 +287,7 @@ func (v *verifier) run() []sfi.Violation {
 				bad(i, sfi.KindStore, "store address not provable on all paths")
 			}
 		}
-		if code.Op == target.Jr || code.Op == target.Jalr {
+		if code.Op.IsIndirect() {
 			if v.indirectOK(st, code) {
 				if v.st != nil {
 					v.st.Indirects++
@@ -323,7 +298,7 @@ func (v *verifier) run() []sfi.Violation {
 		}
 	}
 	if v.st != nil {
-		v.st.Blocks = blocks
+		v.st.Blocks = v.cfg.Blocks()
 		v.st.Iterations = iters
 	}
 	return out
@@ -350,8 +325,7 @@ func (v *verifier) scanStub() {
 	v.stubEnd = int(v.prog.Entry)
 	for i := int(v.prog.Entry); i >= 0 && i < len(v.prog.Code); i++ {
 		in := &v.prog.Code[i]
-		if in.Op.IsBranch() || in.Op.IsJump() ||
-			in.Op == target.Syscall || in.Op == target.Break || in.Op == target.Halt {
+		if in.Op.EndsRun() {
 			v.stubEnd = i
 			return
 		}

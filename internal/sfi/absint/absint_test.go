@@ -189,6 +189,52 @@ func diamondProgram(th *tharness) *target.Program {
 	}
 }
 
+// Entry is a fact boundary for both verifiers. The probe puts the
+// sandbox mask and rebase before Entry, a store through the sandbox
+// register at Entry, and the dedicated-register stub after it; control
+// starts at Entry, so the sequence before it proves nothing. A
+// wire-decoded program may carry any in-range Entry, and buildSynth
+// always emits Entry 0, so the fuzzer and the enumerator never build
+// this shape.
+func TestEntryIsAFactBoundary(t *testing.T) {
+	for _, m := range target.Machines() {
+		th := harnessFor(t, m)
+		prog := entryProbe(th)
+		if vs := sfi.Verify(prog, th.pol); len(vs) == 0 {
+			t.Errorf("%s: sfi.Verify accepted a store whose sandbox sequence precedes Entry", m.Name)
+		}
+		classify(t, th, prog, func() string { return m.Name + " entry probe" })
+	}
+}
+
+func entryProbe(th *tharness) *target.Program {
+	m, p := th.m, th.pol
+	no := target.NoReg
+	A, R := m.SFIAddr, m.OmniInt[2]
+	code := []target.Inst{
+		{Op: target.And, Rd: A, Rs1: R, Rs2: m.SFIMask},
+		{Op: target.Or, Rd: A, Rs1: A, Rs2: m.SFIBase},
+	}
+	if m.Arch == target.X86 {
+		code = []target.Inst{
+			{Op: target.AndI, Rd: A, Rs1: R, Rs2: no, Imm: int32(p.DataMask)},
+			{Op: target.OrI, Rd: A, Rs1: A, Rs2: no, Imm: int32(p.DataBase)},
+		}
+	}
+	entry := int32(len(code))
+	code = append(code, target.Inst{Op: target.Sw, Rd: R, Rs1: A, Rs2: no})
+	code = th.loadPinned(code, 2)
+	code = append(code, target.Inst{Op: target.Halt, Rd: no, Rs1: no, Rs2: no})
+	trap := int32(len(code))
+	code = append(code, target.Inst{Op: target.Break, Rd: no, Rs1: no, Rs2: no})
+	return &target.Program{
+		Arch:         m.Arch,
+		Code:         code,
+		Entry:        entry,
+		OmniToNative: []int32{trap, trap},
+	}
+}
+
 // Check's error message must carry the per-kind violation totals.
 func TestCheckErrorReportsPerKindTotals(t *testing.T) {
 	th := harnessFor(t, target.Machines()[0])

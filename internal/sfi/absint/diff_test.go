@@ -82,7 +82,7 @@ func decodeProgram(tb testing.TB, data []byte) (*target.Program, *tharness, stri
 		ops := []target.Op{target.Sw, target.Sb, target.AddI, target.And, target.Or, target.Mov, target.Jr, target.Nop}
 		in.Op = ops[int(val)%len(ops)]
 	case 5:
-		if in.Op.IsBranch() || in.Op == target.J || in.Op == target.Jal {
+		if in.Op.HasTarget() {
 			in.Target = int32(int(val) % len(prog.Code))
 		}
 	}

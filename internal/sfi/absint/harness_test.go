@@ -75,9 +75,6 @@ func harnesses(t testing.TB) map[string]*tharness {
 			}
 			th.host = h
 			th.pol = sfi.PolicyFor(m, h.SegInfo())
-			if th.pol.GuardZone == 0 {
-				th.pol.GuardZone = 4096
-			}
 			// A WRITABLE victim segment well away from the sandbox: the
 			// segment layer would let an escaping store through to it,
 			// so the oracle does not depend on everything else being
@@ -119,8 +116,8 @@ func harnessFor(t testing.TB, m *target.Machine) *tharness {
 // exhaustion are contained outcomes; only a store the segment layer let
 // through outside the window is an escape.
 func (th *tharness) contained(prog *target.Program) (escapes []string) {
-	lo := int64(th.pol.DataBase) - int64(th.pol.GuardZone)
-	hi := int64(th.pol.DataBase) + int64(th.pol.DataMask) + int64(th.pol.GuardZone)
+	lo := int64(th.pol.DataBase) - translate.GuardZone
+	hi := int64(th.pol.DataBase) + int64(th.pol.DataMask) + translate.GuardZone
 	th.sink = func(addr, size uint32, faulted bool) {
 		if faulted {
 			return
@@ -157,26 +154,8 @@ type synthInst struct {
 // four entries — sequence start, halt, and two trap slots — so indirect
 // branches and exception delivery have real landing sites.
 func buildSynth(th *tharness, seq []synthInst) *target.Program {
-	m, p := th.m, th.pol
-	var code []target.Inst
-	load := func(rd target.Reg, val uint32) {
-		if rd == target.NoReg {
-			return
-		}
-		if m.Arch == target.X86 {
-			code = append(code, target.Inst{Op: target.MovI, Rd: rd, Rs1: target.NoReg, Rs2: target.NoReg, Imm: int32(val)})
-			return
-		}
-		code = append(code, target.Inst{Op: target.Lui, Rd: rd, Rs1: target.NoReg, Rs2: target.NoReg, Imm: int32(val >> 16)})
-		if lo := val & 0xffff; lo != 0 {
-			code = append(code, target.Inst{Op: target.OrI, Rd: rd, Rs1: rd, Rs2: target.NoReg, Imm: int32(lo)})
-		}
-	}
-	const nOmni = 4
-	load(m.SFIMask, p.DataMask)
-	load(m.SFIBase, p.DataBase)
-	load(m.CodeMask, nOmni-1)
-	load(m.GP, p.GPValue)
+	m := th.m
+	code := th.loadPinned(nil, 4)
 	jIdx := len(code)
 	code = append(code, target.Inst{Op: target.J, Rd: target.NoReg, Rs1: target.NoReg, Rs2: target.NoReg})
 	if m.HasDelaySlot {
@@ -207,6 +186,31 @@ func buildSynth(th *tharness, seq []synthInst) *target.Program {
 	}
 }
 
+// loadPinned appends the canonical stub's loads of the dedicated
+// registers with their pinned values, for a program whose
+// omni-to-native map has nOmni entries.
+func (th *tharness) loadPinned(code []target.Inst, nOmni uint32) []target.Inst {
+	m, p := th.m, th.pol
+	load := func(rd target.Reg, val uint32) {
+		if rd == target.NoReg {
+			return
+		}
+		if m.Arch == target.X86 {
+			code = append(code, target.Inst{Op: target.MovI, Rd: rd, Rs1: target.NoReg, Rs2: target.NoReg, Imm: int32(val)})
+			return
+		}
+		code = append(code, target.Inst{Op: target.Lui, Rd: rd, Rs1: target.NoReg, Rs2: target.NoReg, Imm: int32(val >> 16)})
+		if lo := val & 0xffff; lo != 0 {
+			code = append(code, target.Inst{Op: target.OrI, Rd: rd, Rs1: rd, Rs2: target.NoReg, Imm: int32(lo)})
+		}
+	}
+	load(m.SFIMask, p.DataMask)
+	load(m.SFIBase, p.DataBase)
+	load(m.CodeMask, nOmni-1)
+	load(m.GP, p.GPValue)
+	return code
+}
+
 // alphabet is the reduced per-target instruction set the fuzzer and the
 // exhaustive enumerator draw from. It deliberately contains both the
 // translator's sandbox idioms and near-miss variants (boundary and
@@ -218,7 +222,7 @@ func alphabet(th *tharness) []synthInst {
 	m, p := th.m, th.pol
 	A := m.SFIAddr
 	no := target.NoReg
-	g := p.GuardZone
+	const g = translate.GuardZone
 	R := m.OmniInt[2] // a general computation register
 	ins := func(name string, in target.Inst) synthInst {
 		return synthInst{name: name, in: in}

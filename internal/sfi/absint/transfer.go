@@ -3,13 +3,14 @@ package absint
 import (
 	"omniware/internal/sfi"
 	"omniware/internal/target"
+	"omniware/internal/translate"
 )
 
 // transfer computes the state after executing in from the state before
 // it. Every rule mirrors exactly what the simulator computes for the
 // same opcode; anything not modeled clobbers the destination to top.
 func (v *verifier) transfer(st state, in *target.Inst, i int) state {
-	if in.Op.IsStore() || in.MemDst {
+	if in.WritesMem() {
 		return st // stores write no registers
 	}
 	if in.Op == target.Syscall {
@@ -168,7 +169,7 @@ func orReg(a, b fact) fact {
 // every path reaching it.
 func (v *verifier) storeOK(st *state, in *target.Inst) bool {
 	p := v.p
-	g := int64(p.GuardZone)
+	const g = translate.GuardZone
 	B := int64(p.DataBase)
 	M := int64(p.DataMask)
 	base := in.Rs1
@@ -225,7 +226,7 @@ func (v *verifier) indirectOK(st *state, in *target.Inst) bool {
 // (or the lui upper half inside the entry stub, where the completing
 // ori follows before any transfer) may touch them.
 func (v *verifier) checkReservedWrite(st *state, in *target.Inst, i int, bad func(int, sfi.Kind, string)) {
-	if in.Rd == target.NoReg || in.Op.IsStore() || in.MemDst {
+	if in.Rd == target.NoReg || in.WritesMem() {
 		return
 	}
 	exp, res := v.expected[in.Rd]

@@ -89,7 +89,7 @@ var mutators = []mutator{
 					if !wantSFI && in.Rs1 != sp {
 						continue
 					}
-					in.Imm += 2 * p.GuardZone
+					in.Imm += 2 * translate.GuardZone
 					return i
 				}
 			}
@@ -148,7 +148,6 @@ func TestMutatedTranslationRejectedByCache(t *testing.T) {
 					t.Fatal(err)
 				}
 				p := sfi.PolicyFor(m, si)
-				p.GuardZone = 4096
 				if idx := mu.edit(mutated, m, p); idx < 0 {
 					t.Fatal("no mutation site found")
 				}
@@ -185,9 +184,6 @@ func TestSeededViolationsAreReported(t *testing.T) {
 					t.Fatal(err)
 				}
 				p := policyFor(h, m)
-				if p.GuardZone == 0 {
-					p.GuardZone = 4096
-				}
 
 				// The unmutated translation must be violation-free —
 				// otherwise the assertions below prove nothing.

@@ -10,7 +10,12 @@
 // interpretation over a real control-flow graph) lives in the absint
 // subpackage; the two are raced differentially under fuzzing and
 // exhaustive small-model enumeration so a blind spot in one is caught
-// by the other.
+// by the other. What is a function of the code and the policy alone is
+// defined once and shared: the block structure (target.BuildCFG), the
+// obligations (target.Inst.WritesMem, target.Op.IsIndirect), the guard
+// zone (translate.GuardZone) and the dedicated registers' values
+// (Policy.Pinned). Two copies of those facts do not check each other;
+// they drift.
 package sfi
 
 import (
@@ -27,9 +32,6 @@ type Policy struct {
 	DataMask uint32
 	RegSave  uint32 // register-save area (absolute stores there are runtime-owned)
 	GPValue  uint32 // global-pointer value held in Machine.GP (0 if unused)
-	// GuardZone bounds the displacement allowed on a sandboxed or
-	// stack-relative access.
-	GuardZone int32
 }
 
 // PolicyFor derives the verifier policy for a program translated for m
@@ -43,6 +45,32 @@ func PolicyFor(m *target.Machine, si translate.SegInfo) Policy {
 		RegSave:  si.RegSave,
 		GPValue:  si.GPValue,
 	}
+}
+
+// Pinned returns the constants prog's dedicated registers must hold:
+// the data mask, the segment base, the code mask (the omni-to-native
+// map's index mask) and the global pointer, for those the machine
+// has. Writes anywhere must produce exactly these values (or, inside
+// the entry stub, the lui upper half on the way to them): trusting a
+// register's *name* without pinning its *value* would let a module load
+// a junk mask and then "sandbox" with it.
+func (p Policy) Pinned(prog *target.Program) map[target.Reg]uint32 {
+	m := p.Machine
+	pinned := map[target.Reg]uint32{}
+	pin := func(r target.Reg, v uint32) {
+		if r != target.NoReg {
+			pinned[r] = v
+		}
+	}
+	pin(m.SFIMask, p.DataMask)
+	pin(m.SFIBase, p.DataBase)
+	if len(prog.OmniToNative) > 0 {
+		pin(m.CodeMask, uint32(len(prog.OmniToNative)-1))
+	} else {
+		pin(m.CodeMask, 0)
+	}
+	pin(m.GP, p.GPValue)
+	return pinned
 }
 
 // Stats counts the proof obligations one verification pass
@@ -60,10 +88,10 @@ func Survey(prog *target.Program) Stats {
 	var st Stats
 	for i := range prog.Code {
 		in := &prog.Code[i]
-		if in.Op.IsStore() || in.MemDst {
+		if in.WritesMem() {
 			st.Stores++
 		}
-		if in.Op == target.Jr || in.Op == target.Jalr {
+		if in.Op.IsIndirect() {
 			st.Indirects++
 		}
 		if in.Cat == target.CatSFI {
@@ -169,53 +197,21 @@ func (v Violation) String() string {
 //     by-name rules above engage only after the entry stub provably
 //     establishes those constants.
 //
-// Fact boundaries: any instruction control can enter other than by
-// falling through — a direct branch/jump target or any entry of the
+// Fact boundaries: every leader of target.BuildCFG — any instruction
+// control can enter other than by falling through: a direct
+// branch/jump target, the program entry, or any entry of the
 // omni-to-native map (indirect branches and exception delivery land
 // only on those) — starts a fresh block with no inherited facts.
 func Verify(prog *target.Program, p Policy) []Violation {
-	if p.GuardZone == 0 {
-		p.GuardZone = 4096
-	}
+	const g = translate.GuardZone
 	m := p.Machine
 	var out []Violation
 	bad := func(i int, in target.Inst, k Kind, why string) {
 		out = append(out, Violation{Index: i, Inst: in, Kind: k, Why: why})
 	}
 
-	leaders := make([]bool, len(prog.Code))
-	for _, in := range prog.Code {
-		if in.Op.IsBranch() || in.Op == target.J || in.Op == target.Jal {
-			if in.Target >= 0 && int(in.Target) < len(leaders) {
-				leaders[in.Target] = true
-			}
-		}
-	}
-	for _, v := range prog.OmniToNative {
-		if v >= 0 && int(v) < len(leaders) {
-			leaders[v] = true
-		}
-	}
-
-	// Expected constants for the dedicated registers. Writes anywhere
-	// must produce exactly these values (or, inside the entry stub, the
-	// lui upper half on the way to them): trusting the register *name*
-	// without pinning its *value* would let a module load a junk mask
-	// and then "sandbox" with it.
-	expected := map[target.Reg]uint32{}
-	addExp := func(r target.Reg, v uint32) {
-		if r != target.NoReg {
-			expected[r] = v
-		}
-	}
-	addExp(m.SFIMask, p.DataMask)
-	addExp(m.SFIBase, p.DataBase)
-	if len(prog.OmniToNative) > 0 {
-		addExp(m.CodeMask, uint32(len(prog.OmniToNative)-1))
-	} else {
-		addExp(m.CodeMask, 0)
-	}
-	addExp(m.GP, p.GPValue)
+	leaders := target.BuildCFG(prog, m).Leaders
+	expected := p.Pinned(prog)
 
 	// Scan the straight-line prefix at the entry point (the stub) with
 	// constant tracking to learn which dedicated registers provably
@@ -228,8 +224,7 @@ func Verify(prog *target.Program, p Policy) []Violation {
 		kc := map[target.Reg]uint32{}
 		for i := int(prog.Entry); i >= 0 && i < len(prog.Code); i++ {
 			in := &prog.Code[i]
-			if in.Op.IsBranch() || in.Op.IsJump() ||
-				in.Op == target.Syscall || in.Op == target.Break || in.Op == target.Halt {
+			if in.Op.EndsRun() {
 				stubEnd = i
 				break
 			}
@@ -295,7 +290,7 @@ func Verify(prog *target.Program, p Policy) []Violation {
 	// allowed fold.
 	isGuardFold := func(in *target.Inst) bool {
 		return in.Rd == m.SFIAddr && in.Op == target.AddI && in.Rs1 == m.SFIAddr &&
-			in.Imm != 0 && in.Imm >= -p.GuardZone && in.Imm <= p.GuardZone
+			in.Imm != 0 && in.Imm >= -g && in.Imm <= g
 	}
 	// x86 has no dedicated code-mask register: the and-immediate bounds
 	// the index iff the immediate is below the code-map size (the map
@@ -324,8 +319,7 @@ func Verify(prog *target.Program, p Policy) []Violation {
 	// sandboxed-register rules give, which matters when a register is
 	// both constant-known and sandbox-shaped.
 	inWindow := func(a int64) bool {
-		return a >= int64(p.DataBase)-int64(p.GuardZone) &&
-			a <= int64(p.DataBase)+int64(p.DataMask)+int64(p.GuardZone)
+		return a >= int64(p.DataBase)-g && a <= int64(p.DataBase)+int64(p.DataMask)+g
 	}
 	storeSafe := func(in *target.Inst) bool {
 		// Absolute store (no base register): must land in the data
@@ -345,13 +339,13 @@ func Verify(prog *target.Program, p Policy) []Violation {
 				(sb == sbMasked || sb == sbMaskedG)
 		}
 		// Stack-relative with a guarded displacement.
-		if base == spReg && in.Imm >= -p.GuardZone && in.Imm <= p.GuardZone {
+		if base == spReg && in.Imm >= -g && in.Imm <= g {
 			return true
 		}
 		// Through the sandboxed register: a masked-and-rebased value
 		// plus at most one guard-zone displacement (folded or in the
 		// store itself, never both).
-		if base == m.SFIAddr && sb == sbBased && in.Imm >= -p.GuardZone && in.Imm <= p.GuardZone {
+		if base == m.SFIAddr && sb == sbBased && in.Imm >= -g && in.Imm <= g {
 			return true
 		}
 		if base == m.SFIAddr && sb == sbBasedG && in.Imm == 0 {
@@ -381,7 +375,7 @@ func Verify(prog *target.Program, p Policy) []Violation {
 		// a constant idiom producing exactly the expected value (the lui
 		// upper half is additionally allowed inside the entry stub,
 		// where the completing ori follows before any transfer).
-		if in.Rd != target.NoReg && !in.Op.IsStore() && !in.MemDst {
+		if in.Rd != target.NoReg && !in.WritesMem() {
 			if exp, res := expected[in.Rd]; res {
 				inStub := i >= int(prog.Entry) && i < stubEnd
 				if !constWriter(in) || !expectedWrite(kc, in, exp, inStub) {
@@ -390,12 +384,12 @@ func Verify(prog *target.Program, p Policy) []Violation {
 			}
 		}
 
-		if in.Op.IsStore() || in.MemDst {
+		if in.WritesMem() {
 			if !storeSafe(in) {
 				bad(i, *in, KindStore, "store not provably inside the data segment")
 			}
 		}
-		if in.Op == target.Jr || in.Op == target.Jalr {
+		if in.Op.IsIndirect() {
 			// Returns and calls through the sandbox register, or through
 			// a register holding a tracked constant below the code-map
 			// size (the map bounds every indirect transfer).
@@ -420,7 +414,7 @@ func Verify(prog *target.Program, p Policy) []Violation {
 		kcStep(kc, in)
 
 		// Track the sandbox register.
-		wrote := in.Rd == m.SFIAddr && !in.Op.IsStore() && !in.MemDst && in.Rd != target.NoReg
+		wrote := in.Rd == m.SFIAddr && !in.WritesMem() && in.Rd != target.NoReg
 		switch {
 		case isMaskOp(in):
 			sb = sbMasked
@@ -460,7 +454,7 @@ func Verify(prog *target.Program, p Policy) []Violation {
 // Only value-exact transfers are tracked — every rule here mirrors
 // precisely what the simulator computes for the same opcode.
 func kcStep(kc map[target.Reg]uint32, in *target.Inst) {
-	if in.Rd == target.NoReg || in.Op.IsStore() || in.MemDst {
+	if in.Rd == target.NoReg || in.WritesMem() {
 		return
 	}
 	if in.MemSrc {

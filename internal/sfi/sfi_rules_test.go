@@ -25,13 +25,11 @@ func rulesSegInfo() translate.SegInfo {
 	}
 }
 
-// buildRuleProg wraps seq in a canonical stub for m (dedicated
-// registers loaded with their pinned values, then a jump over a trap
-// padding) so the flag-establishing prefix every rule depends on is in
-// place.
-func buildRuleProg(m *target.Machine, si translate.SegInfo, seq []target.Inst) *target.Program {
+// loadPinned appends the canonical stub's loads of m's dedicated
+// registers with their pinned values, for a program whose
+// omni-to-native map has nOmni entries.
+func loadPinned(code []target.Inst, m *target.Machine, si translate.SegInfo, nOmni uint32) []target.Inst {
 	no := target.NoReg
-	var code []target.Inst
 	load := func(rd target.Reg, val uint32) {
 		if rd == no {
 			return
@@ -45,11 +43,20 @@ func buildRuleProg(m *target.Machine, si translate.SegInfo, seq []target.Inst) *
 			code = append(code, target.Inst{Op: target.OrI, Rd: rd, Rs1: rd, Rs2: no, Imm: int32(lo)})
 		}
 	}
-	const nOmni = 2
 	load(m.SFIMask, si.DataMask)
 	load(m.SFIBase, si.DataBase)
 	load(m.CodeMask, nOmni-1)
 	load(m.GP, si.GPValue)
+	return code
+}
+
+// buildRuleProg wraps seq in a canonical stub for m (dedicated
+// registers loaded with their pinned values, then a jump over a trap
+// padding) so the flag-establishing prefix every rule depends on is in
+// place.
+func buildRuleProg(m *target.Machine, si translate.SegInfo, seq []target.Inst) *target.Program {
+	no := target.NoReg
+	code := loadPinned(nil, m, si, 2)
 	j := len(code)
 	code = append(code, target.Inst{Op: target.J, Rd: no, Rs1: no, Rs2: no})
 	if m.HasDelaySlot {
@@ -84,7 +91,7 @@ func x86(m *target.Machine) bool    { return m.Arch == target.X86 }
 
 func ruleCases() []ruleCase {
 	no := target.NoReg
-	const g = 4096
+	const g = translate.GuardZone
 	mask := func(m *target.Machine) target.Inst {
 		if m.Arch == target.X86 {
 			return target.Inst{Op: target.AndI, Rd: m.SFIAddr, Rs1: m.OmniInt[2], Rs2: no, Imm: 0x00ffffff}
@@ -314,5 +321,50 @@ func TestCheckMessageFormat(t *testing.T) {
 	// Only the first three violations are spelled out.
 	if n := strings.Count(msg, "inst "); n != 3 {
 		t.Errorf("error should detail exactly 3 violations, found %d: %q", n, msg)
+	}
+}
+
+// entryProbe puts the sandbox mask and rebase before Entry, a store
+// through the sandbox register at Entry, and the dedicated-register
+// stub after it. Control starts at Entry, where the sandbox register
+// holds whatever the host left in it, so the sequence before Entry
+// proves nothing about the store.
+func entryProbe(m *target.Machine, si translate.SegInfo) *target.Program {
+	no := target.NoReg
+	A, R := m.SFIAddr, m.OmniInt[2]
+	code := []target.Inst{
+		{Op: target.And, Rd: A, Rs1: R, Rs2: m.SFIMask},
+		{Op: target.Or, Rd: A, Rs1: A, Rs2: m.SFIBase},
+	}
+	if m.Arch == target.X86 {
+		code = []target.Inst{
+			{Op: target.AndI, Rd: A, Rs1: R, Rs2: no, Imm: int32(si.DataMask)},
+			{Op: target.OrI, Rd: A, Rs1: A, Rs2: no, Imm: int32(si.DataBase)},
+		}
+	}
+	entry := int32(len(code))
+	code = append(code, target.Inst{Op: target.Sw, Rd: R, Rs1: A, Rs2: no})
+	code = loadPinned(code, m, si, 2)
+	code = append(code, target.Inst{Op: target.Halt, Rd: no, Rs1: no, Rs2: no})
+	trap := int32(len(code))
+	code = append(code, target.Inst{Op: target.Break, Rd: no, Rs1: no, Rs2: no})
+	return &target.Program{
+		Arch:         m.Arch,
+		Code:         code,
+		Entry:        entry,
+		OmniToNative: []int32{trap, trap},
+	}
+}
+
+// Entry is a fact boundary: a sandbox sequence that falls into Entry
+// does not discharge a store at Entry. A wire-decoded program may carry
+// any in-range Entry, so this is reachable from disk and from peers.
+func TestEntryIsAFactBoundary(t *testing.T) {
+	si := rulesSegInfo()
+	for _, m := range target.Machines() {
+		vs := sfi.Verify(entryProbe(m, si), sfi.PolicyFor(m, si))
+		if len(vs) != 1 || vs[0].Kind != sfi.KindStore || vs[0].Index != 2 {
+			t.Errorf("%s: want exactly the store at Entry rejected, got %v", m.Name, vs)
+		}
 	}
 }

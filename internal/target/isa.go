@@ -188,6 +188,22 @@ func (op Op) IsBranch() bool { return op >= Bcc && op <= Bgez }
 // IsJump reports whether op is an unconditional control transfer.
 func (op Op) IsJump() bool { return op >= J && op <= Jalr }
 
+// HasTarget reports whether op transfers to a static code address held
+// in Inst.Target: a conditional branch, J or Jal.
+func (op Op) HasTarget() bool { return op.IsBranch() || op == J || op == Jal }
+
+// IsIndirect reports whether op transfers to an address held in a
+// register (Jr, Jalr): the SFI verifiers' indirect-branch obligation.
+func (op Op) IsIndirect() bool { return op == Jr || op == Jalr }
+
+// EndsRun reports whether op ends a straight-line run: a branch, a
+// jump, or an instruction that leaves the module (Syscall, Break,
+// Halt). Nothing after it in the code executes as its fall-through
+// without first passing a point where control may go elsewhere.
+func (op Op) EndsRun() bool {
+	return op.IsBranch() || op.IsJump() || op == Syscall || op == Break || op == Halt
+}
+
 // IsLoad reports whether op reads memory through the load unit.
 func (op Op) IsLoad() bool { return op >= Lb && op <= Ld }
 
@@ -272,6 +288,11 @@ type Inst struct {
 	MemDst  bool
 	Indexed bool
 }
+
+// WritesMem reports whether in writes memory: a store, or an x86
+// read-modify-write MemDst form. It is the SFI verifiers' store
+// obligation, so a new store form is one edit here.
+func (in Inst) WritesMem() bool { return in.Op.IsStore() || in.MemDst }
 
 func (in Inst) String() string {
 	s := in.Op.String()

@@ -87,7 +87,7 @@ func lowerInst(l *linst, m *Machine, in *Inst) {
 	l.d, l.a, l.b = slotSink, slotZero, slotZero
 	l.imm, l.tgt = in.Imm, in.Target
 	lowerIssue(l, m, in)
-	control := op.IsBranch() || op.IsJump() || op == Syscall || op == Break || op == Halt
+	control := op.EndsRun()
 	switch {
 	case !control && in.MemSrc:
 		l.op, l.sub = opMemSrc, uint8(op)

@@ -377,9 +377,6 @@ func harnessFor(t *testing.T, m *target.Machine) *harness {
 	}
 	h := th.host()
 	th.pol = sfi.PolicyFor(m, h.SegInfo())
-	if th.pol.GuardZone == 0 {
-		th.pol.GuardZone = 4096
-	}
 	if th.base, err = h.Translate(m, translate.Paper(true)); err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +422,7 @@ func decodeSeed(t *testing.T, data []byte) (*target.Program, *harness) {
 		ops := []target.Op{target.Sw, target.Sb, target.AddI, target.And, target.Or, target.Mov, target.Jr, target.Nop}
 		in.Op = ops[int(val)%len(ops)]
 	case 5:
-		if in.Op.IsBranch() || in.Op == target.J || in.Op == target.Jal {
+		if in.Op.HasTarget() {
 			in.Target = int32(int(val) % len(prog.Code))
 		}
 	}
@@ -495,7 +492,7 @@ func alphabet(th *harness) []synthInst {
 	m, p := th.m, th.pol
 	A, R, sp := m.SFIAddr, m.OmniInt[2], m.OmniInt[14]
 	no := target.NoReg
-	g := p.GuardZone
+	const g = translate.GuardZone
 	ins := func(in target.Inst) synthInst { return synthInst{in: in} }
 	sw := func(base target.Reg, imm int32) synthInst {
 		return ins(target.Inst{Op: target.Sw, Rd: R, Rs1: base, Rs2: no, Imm: imm})

@@ -68,13 +68,6 @@ func (t *tx) memAddr(in ovm.Inst) (base target.Reg, imm int32, indexed bool, idx
 	return s, lo, false, target.NoReg
 }
 
-// guardZone is the displacement magnitude covered by the unmapped
-// guard regions around a module segment (Wahbe et al.'s guard-zone
-// refinement): a sandboxed base plus a displacement within this bound
-// cannot reach another segment. Larger displacements are folded into
-// the sandboxed quantity instead.
-const guardZone = 4096
-
 // storeNeedsSFI decides whether a store must be sandboxed. Stores
 // through the stack pointer with small displacements are statically
 // safe (sp is kept inside the segment by construction and the guard
@@ -84,7 +77,7 @@ func storeNeedsSFI(in ovm.Inst) bool {
 	if in.Op.IsIndexed() {
 		return true
 	}
-	if in.Rs1 == ovm.RSP && in.Imm >= -guardZone && in.Imm <= guardZone {
+	if in.Rs1 == ovm.RSP && in.Imm >= -GuardZone && in.Imm <= GuardZone {
 		return false
 	}
 	if in.Rs1 == ovm.RZero {
@@ -177,7 +170,7 @@ func (t *tx) sfiStore(in ovm.Inst, fp bool) error {
 		b := t.srcInt(in.Rs2, 1, target.CatAddr)
 		t.emit(target.Inst{Op: target.Add, Rd: sfi, Rs1: a, Rs2: b, Cat: target.CatSFI})
 		rawBase = sfi
-	} else if in.Imm < -guardZone || in.Imm > guardZone {
+	} else if in.Imm < -GuardZone || in.Imm > GuardZone {
 		base := t.srcInt(in.Rs1, 0, target.CatAddr)
 		if m.Arch == target.X86 {
 			t.emit(target.Inst{Op: target.Lea, Rd: sfi, Rs1: base, Rs2: target.NoReg, Imm: in.Imm, Cat: target.CatSFI})
@@ -256,7 +249,7 @@ func (t *tx) sfiLoad(in ovm.Inst, fp bool) error {
 		b := t.srcInt(in.Rs2, 1, target.CatAddr)
 		t.emit(target.Inst{Op: target.Add, Rd: sfi, Rs1: a, Rs2: b, Cat: target.CatSFI})
 		rawBase = sfi
-	case in.Imm < -guardZone || in.Imm > guardZone:
+	case in.Imm < -GuardZone || in.Imm > GuardZone:
 		base := t.srcInt(in.Rs1, 0, target.CatAddr)
 		if m.Arch == target.X86 {
 			t.emit(target.Inst{Op: target.Lea, Rd: sfi, Rs1: base, Rs2: target.NoReg, Imm: in.Imm, Cat: target.CatSFI})

@@ -56,6 +56,14 @@ type SegInfo struct {
 	RegSave  uint32 // base of the register-save area (memory-resident OmniVM regs)
 }
 
+// GuardZone is the displacement magnitude covered by the unmapped
+// guard regions around a module segment (Wahbe et al.'s guard-zone
+// refinement): a sandboxed base plus a displacement within this bound
+// cannot reach another segment. The translator folds larger
+// displacements into the sandboxed quantity instead, and both SFI
+// verifiers admit exactly this bound.
+const GuardZone = 4096
+
 // Translate converts a linked OmniVM module into a native program for
 // mach.
 func Translate(mod *ovm.Module, mach *target.Machine, si SegInfo, opt Options) (*target.Program, error) {
@@ -217,7 +225,7 @@ func (t *tx) run() (*target.Program, error) {
 	// Patch branch targets (they currently hold OmniVM indices).
 	for i := range code {
 		in := &code[i]
-		if in.Op.IsBranch() || in.Op == target.J || in.Op == target.Jal {
+		if in.Op.HasTarget() {
 			if in.Target >= 0 && int(in.Target) < n {
 				in.Target = o2n[in.Target]
 			}
